@@ -1,10 +1,10 @@
 """Shared scaffolding for the standalone benchmark scripts.
 
-Both ``bench_service.py`` and ``bench_async.py`` are CLI-runnable
-reports with the same contract: ``--ci`` shrinks the workload and gates
-on crash rather than timing, ``--out PATH`` writes the numbers as JSON
-for CI artifact upload. The argparse definition, the report formatter
-and the JSON writer live here so the two scripts cannot drift.
+The benchmark scripts are CLI-runnable reports with the same contract:
+``--ci`` shrinks the workload and gates on crash rather than timing,
+``--out PATH`` writes the numbers as JSON for CI artifact upload. The
+argparse definition, the report formatter, the JSON writer and the
+daemon client helpers live here so the scripts cannot drift.
 """
 
 from __future__ import annotations
@@ -67,3 +67,34 @@ def write_json(doc: dict, path: str | None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
     print(f"\nwrote {path}")
+
+
+def route_batch(address: str, docs: list[dict]) -> list[dict]:
+    """Route ``docs`` on the daemon at ``address``: one ``POST /v1/route_batch``.
+
+    ``address`` is a UNIX-socket path or ``http://HOST:PORT``. Returns
+    the per-request result documents, in request order.
+    """
+    from repro.service import HttpClient
+
+    with HttpClient(address) as client:
+        status, body = client.request("/v1/route_batch", {"requests": docs})
+    if status != 200:
+        raise RuntimeError(f"route_batch on {address} failed ({status}): {body}")
+    return body["results"]
+
+
+def daemon_stats(address: str) -> dict:
+    """The daemon's ``GET /stats`` document."""
+    from repro.service import HttpClient
+
+    with HttpClient(address) as client:
+        return client.request("/stats")[1]["stats"]
+
+
+def shutdown_daemon(address: str) -> None:
+    """Ask the daemon at ``address`` to drain and exit."""
+    from repro.service import HttpClient
+
+    with HttpClient(address) as client:
+        client.request("/v1/shutdown", {})

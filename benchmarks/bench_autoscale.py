@@ -39,13 +39,19 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import make_parser, report, write_json
+from _common import (
+    daemon_stats,
+    make_parser,
+    report,
+    route_batch,
+    shutdown_daemon,
+    write_json,
+)
 from bench_async import _env_with_src
 from repro.service import (
     Autoscaler,
     AutoscalePolicy,
-    DaemonClient,
-    wait_for_socket,
+    wait_for_server,
 )
 
 SIZES = (5, 6)
@@ -85,8 +91,7 @@ def _spawn(sock: str, peers: list[str]) -> subprocess.Popen:
 
 
 def _cluster_stats(sock: str) -> dict:
-    with DaemonClient(sock) as client:
-        return client.stats()["schedule_cache"]["cluster"]
+    return daemon_stats(sock)["schedule_cache"]["cluster"]
 
 
 def _wait_converged(socks: list[str], expect_members: set[str],
@@ -128,8 +133,7 @@ class _LoadDriver:
             sock = self.socks[wave % len(self.socks)]
             docs = unique_docs(self.batch, seed_base=10_000 * wave)
             try:
-                with DaemonClient(sock) as client:
-                    results = client.route_batch(docs)
+                results = route_batch(sock, docs)
             except Exception:
                 self.errors += self.batch
                 continue
@@ -158,7 +162,7 @@ def bench_autoscale(batch: int = 12) -> dict:
         load = _LoadDriver(seeds, batch)
         try:
             for sock in seeds + spares:
-                wait_for_socket(sock, timeout=60.0)
+                wait_for_server(sock, timeout=60.0)
 
             load.start()
             # Any completed request makes the worst p99 exceed 1µs, so
@@ -230,14 +234,12 @@ def bench_autoscale(batch: int = 12) -> dict:
             stats["epoch_at_three"] = _wait_converged(seeds, set(seeds))
 
             # A final workload through a seed still routes cleanly.
-            with DaemonClient(seeds[0]) as client:
-                final = client.route_batch(unique_docs(batch, seed_base=777))
+            final = route_batch(seeds[0], unique_docs(batch, seed_base=777))
             stats["final_errors"] = sum(1 for r in final if not r.get("ok"))
             assert stats["final_errors"] == 0, "errors after scale-down"
 
             for sock in seeds + spares:
-                with DaemonClient(sock) as client:
-                    client.shutdown()
+                shutdown_daemon(sock)
             for proc in procs:
                 proc.wait(timeout=60)
         finally:

@@ -37,17 +37,23 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from _common import make_parser, report, write_json
+from _common import (
+    daemon_stats,
+    make_parser,
+    report,
+    route_batch,
+    shutdown_daemon,
+    write_json,
+)
 from bench_async import _env_with_src
 from repro import GridGraph, make_router, random_permutation
 from repro.routing.serialize import schedule_to_json
 from repro.service import (
-    DaemonClient,
     HashRing,
     RemoteShardClient,
     ScheduleCache,
     request_from_doc,
-    wait_for_socket,
+    wait_for_server,
 )
 
 DISK_GATE = 3.0
@@ -55,7 +61,7 @@ REMOTE_GATE = 1.5
 
 #: Grid sizes for the ring workloads: big enough that decoding a
 #: schedule visibly outweighs one UNIX-socket round trip, small enough
-#: that the JSON dialect stays under the daemon's frame limit.
+#: that the JSON dialect stays under the daemon's body-size limit.
 SIZES = (16, 20, 24)
 
 
@@ -164,7 +170,7 @@ def _ring(tmp: str, codec_envs: tuple[str | None, str | None]):
         for sock, codec_env in zip(socks, codec_envs)
     ]
     for sock in socks:
-        wait_for_socket(sock, timeout=60.0)
+        wait_for_server(sock, timeout=60.0)
     return socks, procs
 
 
@@ -172,8 +178,7 @@ def _shutdown(socks: list[str], procs: list[subprocess.Popen]) -> None:
     for sock, proc in zip(socks, procs):
         if proc.poll() is None:
             try:
-                with DaemonClient(sock) as client:
-                    client.shutdown()
+                shutdown_daemon(sock)
                 proc.wait(timeout=60)
             except Exception:
                 pass
@@ -202,9 +207,8 @@ def bench_remote(n: int = 36, repeats: int = 3) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-codec-") as tmp:
         socks, procs = _ring(tmp, (None, None))
         try:
-            with DaemonClient(socks[0]) as ca:
-                warm = ca.route_batch(docs)
-                assert all(r.get("ok") for r in warm), "warm pass failed"
+            warm = route_batch(socks[0], docs)
+            assert all(r.get("ok") for r in warm), "warm pass failed"
             ring = HashRing(socks)
             digests = [request_from_doc(doc).key().digest for doc in docs]
             owners = [(d, ring.owner(d)) for d in digests]
@@ -267,18 +271,15 @@ def drill_mixed_ring(n: int = 36) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-codec-") as tmp:
         socks, procs = _ring(tmp, (None, "0"))
         try:
-            with DaemonClient(socks[0]) as ca:
-                warm = ca.route_batch(docs)
+            warm = route_batch(socks[0], docs)
             stats["warm_errors"] = sum(1 for r in warm if not r.get("ok"))
-            with DaemonClient(socks[1]) as cb:
-                served = cb.route_batch(docs)
-                cluster_b = cb.stats()["schedule_cache"]["cluster"]
+            served = route_batch(socks[1], docs)
+            cluster_b = daemon_stats(socks[1])["schedule_cache"]["cluster"]
             stats["serve_errors"] = sum(1 for r in served if not r.get("ok"))
             stats["served_from_cache"] = sum(
                 1 for r in served if r.get("source") == "cache"
             )
-            with DaemonClient(socks[0]) as ca:
-                cluster_a = ca.stats()["schedule_cache"]["cluster"]
+            cluster_a = daemon_stats(socks[0])["schedule_cache"]["cluster"]
             stats["remote_errors"] = (
                 cluster_a["remote_errors"] + cluster_b["remote_errors"]
             )

@@ -41,7 +41,7 @@ from repro.service import (
     AsyncRoutingService,
     HttpRoutingServer,
     http_request,
-    wait_for_http,
+    wait_for_server,
 )
 
 JOIN_TIMEOUT = 60.0
@@ -71,7 +71,7 @@ def _start_http(trace_buffer: int, peers: tuple[str, ...] = ()):
             raise RuntimeError("HTTP server did not bind in time")
         time.sleep(0.005)
     base = f"http://127.0.0.1:{server.bound_port}"
-    wait_for_http(base, timeout=JOIN_TIMEOUT)
+    wait_for_server(base, timeout=JOIN_TIMEOUT)
     return base, thread
 
 

@@ -14,17 +14,15 @@ Commands
     Bulk routing through :class:`~repro.service.RoutingService`: a file
     of JSON request lines in, a JSONL stream of results out, with
     dedup, schedule caching and a process-pool worker fleet. With
-    ``--daemon SOCKET`` the requests are shipped to a running ``repro
-    serve`` daemon instead of a fresh local service, so repeated
-    invocations reuse one warm pool and cache; ``--http URL`` does the
-    same over a ``repro serve --http`` server (one ``POST
-    /v1/route_batch`` round trip).
+    ``--daemon ADDR`` (a UNIX socket path or ``http://HOST:PORT``) the
+    requests are shipped to a running ``repro serve`` daemon in one
+    ``POST /v1/route_batch`` round trip instead of a fresh local
+    service, so repeated invocations reuse one warm pool and cache.
 ``serve``
-    Long-lived daemon speaking newline-delimited JSON over a UNIX
-    socket (``--socket``) or stdin/stdout (``--pipe``), or HTTP/JSON
-    (``--http HOST:PORT``, including Prometheus ``/metrics``); see
-    :mod:`repro.service.daemon` and :mod:`repro.service.http` for the
-    protocols. Repeatable ``--peer ADDR`` joins the daemon to a
+    Long-lived daemon speaking HTTP/1.1 JSON (including Prometheus
+    ``/metrics``) on a UNIX socket (``--socket PATH``) or a TCP port
+    (``--http HOST:PORT``); see :mod:`repro.service.http` for the
+    protocol. Repeatable ``--peer ADDR`` joins the daemon to a
     cluster cache ring (:mod:`repro.service.cluster`);
     ``--topology-file PATH`` instead watches a JSON membership file
     (reloaded on mtime change or SIGHUP); ``repro batch --cluster
@@ -187,25 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--daemon",
-        metavar="SOCKET",
+        metavar="ADDR",
         help="send the requests to a running `repro serve` daemon at this "
-        "UNIX socket instead of routing locally (--workers/--cache-*/"
+        "address (UNIX socket path or http://HOST:PORT) via POST "
+        "/v1/route_batch instead of routing locally (--workers/--cache-*/"
         "--warm/--verify are the daemon's business and ignored here)",
-    )
-    p_batch.add_argument(
-        "--http",
-        metavar="URL",
-        help="send the requests to a running `repro serve --http` server "
-        "at this base URL (e.g. http://127.0.0.1:8347) via POST "
-        "/v1/route_batch; same ignored-flags caveat as --daemon",
     )
     p_batch.add_argument(
         "--api-key",
         metavar="KEY",
-        help="tenant API key sent with every request when the server "
-        "enforces tenancy (--daemon: an 'api_key' field on each request "
-        "line; --http: an Authorization: Bearer header); ignored when "
-        "routing locally",
+        help="tenant API key sent as an Authorization: Bearer header when "
+        "the daemon enforces tenancy (with --daemon; ignored when routing "
+        "locally)",
     )
     p_batch.add_argument(
         "--cluster",
@@ -231,21 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_serve = sub.add_parser(
-        "serve", help="long-lived routing daemon (NDJSON over a UNIX socket)"
+        "serve", help="long-lived routing daemon (HTTP/JSON on a socket or port)"
     )
     transport = p_serve.add_mutually_exclusive_group(required=True)
     transport.add_argument(
-        "--socket", metavar="PATH", help="UNIX socket path to listen on"
-    )
-    transport.add_argument(
-        "--pipe",
-        action="store_true",
-        help="serve the protocol over stdin/stdout instead of a socket",
+        "--socket", metavar="PATH", help="serve HTTP/JSON on this UNIX socket"
     )
     transport.add_argument(
         "--http",
         metavar="HOST:PORT",
-        help="serve HTTP/JSON on this address instead of NDJSON "
+        help="serve HTTP/JSON on this TCP address "
         "(POST /v1/route[_batch], /v1/transpile_batch, GET /healthz, "
         "/stats, /metrics)",
     )
@@ -306,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BYTES",
-        help="per-request body-size limit for the HTTP transport "
-        "(413 + Connection: close above it; requires --http)",
+        help="per-request body-size limit "
+        "(413 + Connection: close above it)",
     )
     p_serve.add_argument(
         "--timeout",
@@ -716,8 +702,8 @@ def _open_out(path: str):
 
 
 def _cmd_batch_daemon(args: argparse.Namespace) -> int:
-    """The ``batch --daemon SOCKET`` path: ship the requests to a daemon."""
-    from .service import DaemonClient
+    """The ``batch --daemon ADDR`` path: one POST /v1/route_batch round trip."""
+    from .service import HttpClient
 
     docs = []
     for lineno, doc in _read_request_docs(args.requests):
@@ -725,14 +711,20 @@ def _cmd_batch_daemon(args: argparse.Namespace) -> int:
             raise ReproError(f"request line {lineno}: expected a JSON object")
         docs.append(doc)
     out = _open_out(args.out)
-    extra: dict = {"include_schedule": bool(args.include_schedule)}
-    if args.api_key:
-        extra["api_key"] = args.api_key
-    with DaemonClient(args.daemon) as client:
+    headers = {"Authorization": f"Bearer {args.api_key}"} if args.api_key else None
+    with HttpClient(args.daemon) as client:
         t0 = time.perf_counter()
-        responses = client.route_batch([{**doc, **extra} for doc in docs])
+        status, body = client.request(
+            "/v1/route_batch",
+            {"requests": docs, "include_schedule": bool(args.include_schedule)},
+            headers=headers,
+        )
         elapsed = time.perf_counter() - t0
-        stats = client.stats() if args.stats else None
+        if status != 200 or not isinstance(body, dict) or not body.get("ok"):
+            detail = body.get("error") if isinstance(body, dict) else body
+            raise ReproError(f"batch failed (status {status}): {detail}")
+        stats = client.request("/stats")[1].get("stats") if args.stats else None
+    responses = body["results"]
     try:
         for resp in responses:
             out.write(json.dumps(resp) + "\n")
@@ -751,63 +743,13 @@ def _cmd_batch_daemon(args: argparse.Namespace) -> int:
     return 0 if n_err == 0 else 3
 
 
-def _cmd_batch_http(args: argparse.Namespace) -> int:
-    """The ``batch --http URL`` path: one POST /v1/route_batch round trip."""
-    from .service import http_request
-
-    docs = []
-    for lineno, doc in _read_request_docs(args.requests):
-        if not isinstance(doc, dict):
-            raise ReproError(f"request line {lineno}: expected a JSON object")
-        docs.append(doc)
-    out = _open_out(args.out)
-    base = args.http.rstrip("/")
-    headers = {"Authorization": f"Bearer {args.api_key}"} if args.api_key else None
-    t0 = time.perf_counter()
-    status, body = http_request(
-        base + "/v1/route_batch",
-        {"requests": docs, "include_schedule": bool(args.include_schedule)},
-        headers=headers,
-    )
-    elapsed = time.perf_counter() - t0
-    if status != 200 or not isinstance(body, dict) or not body.get("ok"):
-        detail = body.get("error") if isinstance(body, dict) else body
-        raise ReproError(f"HTTP batch failed (status {status}): {detail}")
-    responses = body["results"]
-    stats = None
-    if args.stats:
-        stats_status, stats_body = http_request(base + "/stats")
-        if stats_status == 200 and isinstance(stats_body, dict):
-            stats = stats_body.get("stats")
-    try:
-        for resp in responses:
-            out.write(json.dumps(resp) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    n_err = sum(1 for r in responses if not r.get("ok"))
-    rate = len(responses) / elapsed if elapsed > 0 else float("inf")
-    print(
-        f"batch: {len(responses)} requests in {elapsed:.3f}s "
-        f"({rate:.1f} req/s), {n_err} errors, via http {base}",
-        file=sys.stderr,
-    )
-    if stats is not None:
-        print(json.dumps(stats, indent=2), file=sys.stderr)
-    return 0 if n_err == 0 else 3
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
     from .service import RoutingService, route_result_to_dict
 
-    if args.daemon and args.http:
-        raise ReproError("--daemon and --http are mutually exclusive")
-    if args.cluster and (args.daemon or args.http):
-        raise ReproError("--cluster routes locally; it excludes --daemon/--http")
+    if args.cluster and args.daemon:
+        raise ReproError("--cluster routes locally; it excludes --daemon")
     if args.daemon:
         return _cmd_batch_daemon(args)
-    if args.http:
-        return _cmd_batch_http(args)
 
     if args.cache_size <= 0:
         raise ReproError(f"--cache-size must be positive, got {args.cache_size}")
@@ -896,11 +838,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         AsyncRoutingService,
         ClusterTopology,
         CostThresholdAdmission,
-        RoutingDaemon,
+        HttpRoutingServer,
         TopologyFileWatcher,
         configure_logging,
         get_logger,
     )
+    from .service.http import MAX_BODY_BYTES
 
     if args.cache_size <= 0:
         raise ReproError(f"--cache-size must be positive, got {args.cache_size}")
@@ -943,13 +886,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError(
             f"--max-queue-depth must be positive, got {args.max_queue_depth}"
         )
-    if args.max_body is not None:
-        if not args.http:
-            raise ReproError(
-                "--max-body applies to the HTTP transport; use it with --http"
-            )
-        if args.max_body <= 0:
-            raise ReproError(f"--max-body must be positive, got {args.max_body}")
+    if args.max_body is not None and args.max_body <= 0:
+        raise ReproError(f"--max-body must be positive, got {args.max_body}")
 
     configure_logging(args.log_level, json_output=args.log_json)
     log = get_logger("repro.service.cli")
@@ -960,23 +898,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.min_cache_seconds > 0
         else None
     )
-    node_id = args.node_id
-    if node_id is None:
-        # A shard sits on the ring under the address its peers dial;
-        # default to this daemon's own listen address. Any socket/http
-        # daemon is therefore joinable at runtime (`repro topology
-        # join`) even when started with no peers. A --pipe daemon has
-        # no dialable address and stays out of cluster mode unless
-        # given an explicit --node-id.
-        if args.socket:
-            node_id = args.socket
-        elif http_addr is not None:
-            node_id = f"http://{http_addr[0]}:{http_addr[1]}"
+    # A shard sits on the ring under the address its peers dial;
+    # default to this daemon's own listen address. Any daemon is
+    # therefore joinable at runtime (`repro topology join`) even when
+    # started with no peers.
+    address = f"http://{http_addr[0]}:{http_addr[1]}" if http_addr else args.socket
+    node_id = args.node_id or address
 
     topology = None
     watcher = None
     if args.topology_file:
-        topology = ClusterTopology([node_id] if node_id else [])
+        topology = ClusterTopology([node_id])
         watcher = TopologyFileWatcher(topology, args.topology_file)
         watcher.reload()  # a malformed file fails the start loudly
 
@@ -1029,11 +961,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
 
         cluster_topology = svc.service.cluster_topology
-        if node_id is None or cluster_topology is None:
-            raise ReproError(
-                "--gossip-interval needs a dialable ring identity: start "
-                "with --socket/--http (or an explicit --node-id)"
-            )
+        assert cluster_topology is not None  # every daemon has a node id
         gossip_transport = PeerGossipTransport()
         gossip_node = GossipNode(
             node_id,
@@ -1058,11 +986,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.sweep_interval > 0:
         from .service import ClusterScheduleCache
 
-        if not isinstance(svc.service.cache, ClusterScheduleCache):
-            raise ReproError(
-                "--sweep-interval needs cluster mode (start with --peer, "
-                "--topology-file, or a dialable node id)"
-            )
+        assert isinstance(svc.service.cache, ClusterScheduleCache)
         svc.service.cache.start_sweeper(args.sweep_interval)
         log.info(
             "anti-entropy sweeper running",
@@ -1073,33 +997,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if watcher is not None:
         watcher.start()
     try:
-        if http_addr is not None:
-            from .service import HttpRoutingServer
-
-            host, port = http_addr
-            http_kwargs: dict = {}
-            if args.max_body is not None:
-                http_kwargs["max_body_bytes"] = args.max_body
-            server = HttpRoutingServer(
-                svc, host=host, port=port, on_reload=on_reload, **http_kwargs
-            )
-            log.info(
-                "repro daemon listening",
-                extra={"address": f"http://{host}:{port}", "transport": "http"},
-            )
-            asyncio.run(server.serve())
-            log.info("repro daemon stopped", extra={"transport": "http"})
-            return 0
-        daemon = RoutingDaemon(svc, on_reload=on_reload)
-        if args.pipe:
-            asyncio.run(daemon.serve_pipe())
-        else:
-            log.info(
-                "repro daemon listening",
-                extra={"address": args.socket, "transport": "ndjson"},
-            )
-            asyncio.run(daemon.serve_unix(args.socket))
-            log.info("repro daemon stopped", extra={"transport": "ndjson"})
+        host, port = http_addr or ("127.0.0.1", 0)
+        server = HttpRoutingServer(
+            svc,
+            host=host,
+            port=port,
+            path=args.socket,
+            max_body_bytes=args.max_body or MAX_BODY_BYTES,
+            on_reload=on_reload,
+        )
+        log.info("repro daemon listening", extra={"address": address})
+        asyncio.run(server.serve())
+        log.info("repro daemon stopped", extra={"address": address})
         return 0
     finally:
         if gossip_runner is not None:

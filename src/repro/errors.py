@@ -92,10 +92,11 @@ class ServiceClosedError(ReproError):
 class DaemonDisconnectedError(ReproError):
     """The daemon connection died mid-request (server gone or half-open).
 
-    Raised by :class:`~repro.service.daemon.DaemonClient` when a send
-    or receive hits a dead socket. The client drops the connection when
-    raising this, so the next call reconnects instead of writing into
-    the same dead socket forever.
+    Raised by :class:`~repro.service.http.HttpClient` when a send or
+    receive hits a dead connection (after its one retry on a fresh
+    connection, unless retries are off). The client drops the
+    connection when raising this, so the next call reconnects instead
+    of writing into the same dead socket forever.
     """
 
 

@@ -11,11 +11,10 @@ the benchmarks drive. On top of the facade sit the always-on front
 ends: :mod:`~repro.service.aio` (:class:`AsyncRoutingService`, bounded
 concurrency + per-request timeouts), and — sharing one
 transport-agnostic dispatch surface, :mod:`~repro.service.handler` —
-the NDJSON daemon (:mod:`~repro.service.daemon`, ``repro serve`` over
-a UNIX socket or stdin/stdout) and the HTTP/JSON facade
-(:mod:`~repro.service.http`, ``repro serve --http``, including the
-Prometheus ``/metrics`` endpoint). Both transports are thin framing
-adapters over one request-lifecycle pipeline
+the HTTP/1.1 server and client (:mod:`~repro.service.http`, ``repro
+serve --socket PATH`` or ``--http HOST:PORT``, including the
+Prometheus ``/metrics`` endpoint). The server is a thin framing
+adapter over one request-lifecycle pipeline
 (:mod:`~repro.service.pipeline`, :class:`RequestPipeline`): every
 request flows decode → authenticate → admit → enqueue → execute →
 encode, with each stage traced and timed. The multi-tenant layer
@@ -32,13 +31,13 @@ stretches the cache across daemons: an epoch-versioned
 or the ``repro topology`` admin CLI) owns the membership, a
 consistent-hash ring (:class:`HashRing`) assigns each fingerprint
 digest to shard owners, :class:`RemoteShardClient` speaks the
-``cache_get``/``cache_put``/``cache_stats``/``topology_*`` ops over
-either transport, and :class:`ClusterScheduleCache` ties them into a
+``cache_get``/``cache_put``/``cache_stats``/``topology_*`` ops to
+peer daemons over HTTP, and :class:`ClusterScheduleCache` ties them into a
 replicated, failure-isolated cache tier with key-space handoff to
 newly joined shards (``repro serve --peer``).
 
 The cluster manages itself from there: :mod:`~repro.service.gossip`
-runs a SWIM-style failure detector over the same two transports
+runs a SWIM-style failure detector over the same peer protocol
 (:class:`GossipNode` probes one member per round, falls back to
 indirect probes via proxies, declares suspects dead after a timeout
 and lets falsely accused nodes refute with incarnation numbers;
@@ -89,7 +88,6 @@ from .cluster import (
     TopologyView,
     parse_topology_doc,
 )
-from .daemon import DaemonClient, RoutingDaemon, wait_for_socket
 from .executor import BatchExecutor, RouteRequest, RouteResult
 from .gossip import (
     GossipConfig,
@@ -108,7 +106,7 @@ from .handler import (
     request_from_doc,
     transpile_request_from_doc,
 )
-from .http import HttpRoutingServer, http_request, wait_for_http
+from .http import HttpClient, HttpRoutingServer, http_request, wait_for_server
 from .pipeline import HttpResponse, RequestPipeline, status_for
 from .tenancy import (
     FairScheduler,
@@ -199,17 +197,15 @@ __all__ = [
     "AutoscaleDecision",
     "ClusterObservation",
     "AsyncRoutingService",
-    "RoutingDaemon",
-    "DaemonClient",
     "RequestHandler",
     "ERROR_CODES",
     "render_prometheus",
     "request_from_doc",
     "transpile_request_from_doc",
-    "wait_for_socket",
+    "HttpClient",
     "HttpRoutingServer",
     "http_request",
-    "wait_for_http",
+    "wait_for_server",
     "RequestPipeline",
     "HttpResponse",
     "status_for",

@@ -27,9 +27,10 @@ Four pieces provide that agreement:
 * :class:`RemoteShardClient` — a thin client for the ``cache_get`` /
   ``cache_put`` / ``cache_stats`` / ``topology_get`` /
   ``topology_update`` operations that
-  :class:`~repro.service.handler.RequestHandler` exposes on **both**
-  transports: the NDJSON daemon framing (address = UNIX-socket path)
-  and the HTTP facade (address = ``http://host:port``). Schedules ship
+  :class:`~repro.service.handler.RequestHandler` exposes as HTTP
+  endpoints, over one keep-alive connection to a daemon on TCP
+  (address = ``http://host:port``) or a UNIX socket (address = the
+  socket path). Schedules ship
   as base64-wrapped binary :mod:`repro.routing.codec` frames when the
   peer advertises the capability (learned from the ``codec`` field its
   responses echo), falling back to the :mod:`repro.routing.serialize`
@@ -69,12 +70,12 @@ import json
 import os
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 from ..errors import (
     ClusterShardError,
-    DaemonDisconnectedError,
     ReproError,
     StaleEpochError,
 )
@@ -752,105 +753,69 @@ class ShardClient(Protocol):
 
 
 class RemoteShardClient:
-    """Speak the cache ops to a remote daemon, over either transport.
+    """Speak the cache ops to a remote daemon over HTTP.
 
     Parameters
     ----------
     address:
-        ``http://`` / ``https://`` base URLs use the HTTP facade
-        (``POST /v1/cache_get`` and friends); anything else is treated
-        as a UNIX-socket path and spoken NDJSON via
-        :class:`~repro.service.daemon.DaemonClient`.
+        ``http://HOST:PORT`` for a daemon on TCP; anything else is the
+        UNIX-socket path of a daemon (see
+        :class:`~repro.service.http.HttpClient`). Either way the ops go
+        to the HTTP endpoints (``POST /v1/cache_get`` and friends).
     timeout:
         Per-operation transport timeout in seconds. Short by design
         (:data:`DEFAULT_SHARD_TIMEOUT`): a cache probe slower than this
         is worse than recomputing.
 
-    The client is thread-safe (one lock around the shared connection)
-    and reconnects transparently after a failure, which is what the
-    cluster cache's retry-after-cooldown loop relies on.
+    The client is thread-safe (one lock around one keep-alive
+    connection) and reconnects transparently after a failure, which is
+    what the cluster cache's retry-after-cooldown loop relies on.
     """
 
     def __init__(self, address: str, timeout: float = DEFAULT_SHARD_TIMEOUT) -> None:
-        if not address:
-            raise ValueError("shard address must be a non-empty string")
+        from .http import HttpClient  # local import: avoids a cycle
+
+        self._http = HttpClient(address, timeout=timeout)
         self.address = address
-        self.timeout = float(timeout)
-        self._lock = threading.Lock()
-        self._is_http = address.startswith(("http://", "https://"))
-        self._daemon: Any = None
+        self.timeout = self._http.timeout
         # The peer's schedule-codec capability: ``None`` until the first
         # cache response teaches us (every response echoes ``codec``),
         # ``0`` for a pre-codec daemon (JSON documents only), ``>= 1``
         # for binary frames. Unknown peers are sent JSON — correct
         # against any version — and upgrade after one round trip.
         self._peer_codec: int | None = None
-        if not self._is_http:
-            from .daemon import DaemonClient  # local import: avoids a cycle
-
-            self._daemon = DaemonClient(address, timeout=self.timeout)
 
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _request(self, doc: dict[str, Any]) -> dict[str, Any]:
-        # Propagate the caller's trace context across the hop: W3C
-        # ``traceparent`` header over HTTP, a ``trace`` field in the
-        # NDJSON request doc. The receiving daemon starts its own trace
-        # under the same trace id, parented on our current span.
-        traceparent = None if "trace" in doc else current_traceparent()
-        if self._is_http:
-            from .http import http_request  # local import: avoids a cycle
-
-            url = self.address.rstrip("/") + "/v1/" + str(doc["op"])
-            headers = {"traceparent": traceparent} if traceparent else None
-            status, body = http_request(
-                url, doc, timeout=self.timeout, headers=headers
+    def _request(self, path: str, doc: dict[str, Any] | None = None) -> dict[str, Any]:
+        # Propagate the caller's trace context across the hop as a W3C
+        # ``traceparent`` header. The receiving daemon starts its own
+        # trace under the same trace id, parented on our current span.
+        traceparent = current_traceparent()
+        headers = {"traceparent": traceparent} if traceparent else None
+        # A half-open keep-alive connection — the peer idle-closed (or
+        # was restarted) between two requests — is not a dead shard:
+        # the client retries once on a fresh connection before the
+        # breaker trips. Only idempotent ops retry: a topology_update
+        # whose response was eaten may already be applied, and
+        # re-sending it would turn success into a spurious CAS failure.
+        status, body = self._http.request(
+            path, doc, headers=headers, retry=path != "/v1/topology_update"
+        )
+        if not isinstance(body, dict):
+            raise ClusterShardError(
+                f"shard {self.address}: non-JSON response (status {status})"
             )
-            if not isinstance(body, dict):
-                raise ClusterShardError(
-                    f"shard {self.address}: non-JSON response (status {status})"
-                )
-            return body
-        if traceparent is not None:
-            doc = {**doc, "trace": traceparent}
-        with self._lock:
-            try:
-                return self._daemon.request(doc)
-            except DaemonDisconnectedError:
-                # A half-open socket — the peer idle-closed (or was
-                # restarted) between two requests — is not a dead shard.
-                # The client has already dropped the connection, so one
-                # fresh-connection retry distinguishes "connection aged
-                # out" from "node down" before the breaker trips. Only
-                # idempotent ops retry: a topology_update whose response
-                # was eaten may already be applied, and re-sending it
-                # would turn success into a spurious CAS failure.
-                if doc.get("op") == "topology_update":
-                    raise
-                try:
-                    return self._daemon.request(doc)
-                except ReproError:
-                    raise
-                except (OSError, ValueError) as exc:
-                    self._daemon.close()
-                    raise ClusterShardError(f"shard {self.address}: {exc}") from exc
-            except ReproError:
-                raise
-            except (OSError, ValueError) as exc:
-                # ValueError covers json.JSONDecodeError: a garbled line
-                # (wrong service on the path, version skew, truncation)
-                # must degrade like any other shard failure, and the
-                # half-parsed connection cannot be trusted for the next
-                # request either.
-                self._daemon.close()
-                raise ClusterShardError(f"shard {self.address}: {exc}") from exc
+        return body
 
-    def _checked(self, doc: dict[str, Any]) -> dict[str, Any]:
-        resp = self._request(doc)
+    def _checked(
+        self, op: str, doc: dict[str, Any] | None = None, path: str | None = None
+    ) -> dict[str, Any]:
+        resp = self._request(path or f"/v1/{op}", doc)
         if not resp.get("ok"):
             raise ClusterShardError(
-                f"shard {self.address} refused {doc.get('op')}: "
+                f"shard {self.address} refused {op}: "
                 f"{resp.get('code')}: {resp.get('error')}"
             )
         return resp
@@ -861,14 +826,7 @@ class RemoteShardClient:
     def ping(self) -> bool:
         """Whether the shard answers at all (never raises)."""
         try:
-            if self._is_http:
-                from .http import http_request  # local import: avoids a cycle
-
-                status, body = http_request(
-                    self.address.rstrip("/") + "/healthz", timeout=self.timeout
-                )
-                return status == 200 and isinstance(body, dict) and bool(body.get("ok"))
-            return bool(self._request({"op": "ping"}).get("ok"))
+            return bool(self._request("/healthz").get("ok"))
         except ReproError:
             return False
 
@@ -900,7 +858,7 @@ class RemoteShardClient:
             On transport failure or a refused/malformed response.
         """
         resp = self._checked(
-            {"op": "cache_get", "digest": digest, "codec": negotiated_version()}
+            "cache_get", {"digest": digest, "codec": negotiated_version()}
         )
         self._learn_codec(resp)
         if not resp.get("found"):
@@ -937,28 +895,24 @@ class RemoteShardClient:
         ClusterShardError
             On transport failure or a refused response.
         """
-        doc: dict[str, Any] = {
-            "op": "cache_put",
-            "digest": digest,
-            "codec": negotiated_version(),
-        }
+        doc: dict[str, Any] = {"digest": digest, "codec": negotiated_version()}
         if cost is not None:
             doc["cost"] = float(cost)
         if min(self._peer_codec or 0, negotiated_version()) >= 1:
             frame = encode_schedule(schedule)
             doc["schedule_b64"] = base64.b64encode(frame).decode("ascii")
             try:
-                resp = self._checked(doc)
+                resp = self._checked("cache_put", doc)
             except ClusterShardError as exc:
                 if "bad_request" not in str(exc):
                     raise
                 self._peer_codec = 0
                 del doc["schedule_b64"]
                 doc["schedule"] = json.loads(schedule_to_json(schedule))
-                resp = self._checked(doc)
+                resp = self._checked("cache_put", doc)
         else:
             doc["schedule"] = json.loads(schedule_to_json(schedule))
-            resp = self._checked(doc)
+            resp = self._checked("cache_put", doc)
         self._learn_codec(resp)
         return bool(resp.get("stored"))
 
@@ -970,7 +924,7 @@ class RemoteShardClient:
         ClusterShardError
             On transport failure or a refused response.
         """
-        return dict(self._checked({"op": "cache_stats"}).get("stats") or {})
+        return dict(self._checked("cache_stats").get("stats") or {})
 
     def topology_get(self) -> dict[str, Any]:
         """The daemon's current topology document (epoch + members).
@@ -981,7 +935,7 @@ class RemoteShardClient:
             On transport failure, a refused response, or a daemon
             running without cluster mode.
         """
-        topo = self._checked({"op": "topology_get"}).get("topology")
+        topo = self._checked("topology_get").get("topology")
         if not isinstance(topo, Mapping):
             raise ClusterShardError(
                 f"shard {self.address} returned a malformed topology document"
@@ -1002,7 +956,7 @@ class RemoteShardClient:
             ``stale_epoch`` compare-and-set race — the refusing code is
             embedded in the message).
         """
-        resp = self._checked({**dict(doc), "op": "topology_update"})
+        resp = self._checked("topology_update", dict(doc))
         return dict(resp.get("topology") or {})
 
     def gossip(self, doc: Mapping[str, Any]) -> dict[str, Any]:
@@ -1019,7 +973,7 @@ class RemoteShardClient:
             On transport failure or a refused response (including a
             daemon running without ``--gossip-interval``).
         """
-        return self._checked({**dict(doc), "op": "gossip"})
+        return self._checked("gossip", dict(doc))
 
     def service_stats(self) -> dict[str, Any]:
         """The daemon's full ``stats`` document (caches + telemetry).
@@ -1033,7 +987,7 @@ class RemoteShardClient:
         ClusterShardError
             On transport failure or a refused response.
         """
-        return dict(self._checked({"op": "stats"}).get("stats") or {})
+        return dict(self._checked("stats", path="/stats").get("stats") or {})
 
     def trace_get(
         self,
@@ -1055,21 +1009,22 @@ class RemoteShardClient:
             On transport failure or a refused response (including a
             daemon running with tracing disabled).
         """
-        doc: dict[str, Any] = {"op": "trace_get"}
+        query: dict[str, Any] = {}
         if trace_id is not None:
-            doc["trace_id"] = trace_id
+            query["id"] = trace_id
         if limit is not None:
-            doc["limit"] = int(limit)
+            query["limit"] = int(limit)
         if min_seconds is not None:
-            doc["min_seconds"] = float(min_seconds)
-        traces = self._checked(doc).get("traces")
+            query["min_seconds"] = float(min_seconds)
+        path = "/v1/traces"
+        if query:
+            path += "?" + urllib.parse.urlencode(query)
+        traces = self._checked("trace_get", path=path).get("traces")
         return list(traces) if isinstance(traces, list) else []
 
     def close(self) -> None:
-        """Close the underlying connection (HTTP clients are stateless)."""
-        if self._daemon is not None:
-            with self._lock:
-                self._daemon.close()
+        """Close the underlying connection (idempotent)."""
+        self._http.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RemoteShardClient({self.address!r})"

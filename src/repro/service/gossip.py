@@ -37,8 +37,8 @@ adapted to this codebase's synchronous request/reply transports:
 
 Because the protocol is timer- and randomness-driven, everything above
 is written against an injectable clock, RNG and transport. Production
-wires :class:`PeerGossipTransport` (the ``gossip`` op over NDJSON or
-HTTP via :class:`~repro.service.cluster.RemoteShardClient`) and drives
+wires :class:`PeerGossipTransport` (the ``gossip`` op over HTTP via
+:class:`~repro.service.cluster.RemoteShardClient`) and drives
 ticks from a :class:`GossipRunner` thread (``repro serve
 --gossip-interval``). Tests instead build a :class:`SimNetwork`: a
 virtual clock, per-node seeded RNGs and per-link fault rules (drop

@@ -1,18 +1,16 @@
-"""Transport-agnostic request handling shared by every service front end.
+"""Transport-agnostic request handling: the op implementations.
 
-The NDJSON daemon (:mod:`repro.service.daemon`) and the HTTP facade
-(:mod:`repro.service.http`) accept the same JSON request documents and
-must answer with the same response documents — the only thing that
-differs is the framing (one line per request vs. an HTTP message). The
-:class:`RequestHandler` owns the per-op *implementations* — document
-validation, the op methods driving an
-:class:`~repro.service.aio.AsyncRoutingService`, error isolation, and
-the stable machine-readable error codes both transports expose. The
-request *lifecycle* around those ops — decode, authenticate, admit,
-enqueue, execute, encode — lives in exactly one place, the
+The HTTP server (:mod:`repro.service.http`) and in-process callers of
+:meth:`RequestHandler.dispatch` send the same JSON request documents
+and get the same response documents. The :class:`RequestHandler` owns
+the per-op *implementations* — document validation, the op methods
+driving an :class:`~repro.service.aio.AsyncRoutingService`, error
+isolation, and the stable machine-readable error codes. The request
+*lifecycle* around those ops — decode, authenticate, admit, enqueue,
+execute, encode — lives in exactly one place, the
 :class:`~repro.service.pipeline.RequestPipeline`;
-:meth:`RequestHandler.dispatch` delegates there, so existing callers
-keep working while both transports share one path.
+:meth:`RequestHandler.dispatch` delegates there, so HTTP requests and
+direct dispatches share one path.
 
 Error codes (the ``"code"`` field on ``"ok": false`` responses):
 
@@ -60,7 +58,7 @@ topology`` scales a live ring without restarts.
 
 This module also renders the service's :meth:`stats` document as
 Prometheus text exposition format (:func:`render_prometheus`) for the
-HTTP ``/metrics`` endpoint and the NDJSON ``metrics`` op.
+HTTP ``/metrics`` endpoint and the ``metrics`` op.
 """
 
 from __future__ import annotations
@@ -289,14 +287,6 @@ class RequestHandler:
 
             pipeline = self._pipeline = RequestPipeline(self.service, handler=self)
         return pipeline
-
-    async def dispatch_line(self, line: str | bytes) -> dict[str, Any]:
-        """One raw request line -> one response document (never raises).
-
-        Delegates to
-        :meth:`~repro.service.pipeline.RequestPipeline.process_line`.
-        """
-        return await self._get_pipeline().process_line(line)
 
     async def dispatch(self, doc: dict[str, Any]) -> dict[str, Any]:
         """Dispatch one request document by ``op`` (default ``route``).

@@ -1,17 +1,21 @@
-"""HTTP/1.1 JSON facade over the routing service (stdlib asyncio only).
+"""HTTP/1.1 JSON server and client for the routing service (stdlib only).
 
-The NDJSON daemon caps the service at one machine: UNIX sockets have no
-remote clients. :class:`HttpRoutingServer` exposes the same request
-documents over HTTP so any host (or load balancer) can reach a warm
-routing pool, mirroring how production compiler stacks package routing
-passes as services.
+:class:`HttpRoutingServer` keeps an
+:class:`~repro.service.aio.AsyncRoutingService` (worker pool + schedule
+cache) warm across client invocations and exposes it over HTTP/1.1,
+listening either on a TCP port (``repro serve --http HOST:PORT``, so any
+host or load balancer can reach it) or on a UNIX socket (``repro serve
+--socket PATH``). Both listen addresses speak exactly the same protocol.
+:class:`HttpClient` is the matching client: one keep-alive connection to
+an *address*, where ``http://HOST:PORT`` means TCP and anything else is a
+UNIX-socket path.
 
 This module is *pure framing*: it parses HTTP/1.1 messages and writes
 responses. The endpoint table, op dispatch, tenancy, admission control
 and error mapping all live in the shared
 :class:`~repro.service.pipeline.RequestPipeline`
-(:meth:`~repro.service.pipeline.RequestPipeline.process_http`), which
-the NDJSON daemon drives too — one request lifecycle, two framings.
+(:meth:`~repro.service.pipeline.RequestPipeline.process_http`), which CI
+lint-guards.
 
 Endpoints
 ---------
@@ -44,8 +48,7 @@ Endpoints
     /v1/topology_get`` / ``/v1/topology_update`` are op-style aliases
     (what :class:`~repro.service.cluster.RemoteShardClient` speaks).
 ``POST /v1/shutdown``
-    Ask the server to drain and exit (the HTTP analogue of the NDJSON
-    ``shutdown`` op; SIGTERM does the same).
+    Ask the server to drain and exit (SIGTERM does the same).
 ``GET /v1/traces``
     Finished request traces from the daemon's in-memory ring
     (``?id=<trace-id>&limit=N&min_seconds=S``, all optional — the
@@ -71,39 +74,39 @@ are refused with 411), bodies above ``max_body_bytes`` are refused with
 413 and ``Connection: close`` (the body was never read, so the
 connection cannot be reused), connections are keep-alive by default
 (``Connection: close`` and HTTP/1.0 semantics honoured), and
-SIGTERM/SIGINT trigger a graceful drain — stop accepting, answer
-everything in flight (bounded by
-:data:`~repro.service.daemon.DRAIN_GRACE_SECONDS`), then close the
-service. Protocol-level failures use the stable error codes of
-:mod:`repro.service.handler` plus ``bad_http``, ``length_required``,
-``payload_too_large``, ``not_found`` and ``method_not_allowed``.
+SIGTERM/SIGINT trigger a graceful drain — stop accepting, hang up on
+idle keep-alive connections, answer everything in flight (bounded by
+:data:`DRAIN_GRACE_SECONDS`), then close the service. Protocol-level
+failures use the stable error codes of :mod:`repro.service.handler`
+plus ``bad_http``, ``length_required``, ``payload_too_large``,
+``not_found`` and ``method_not_allowed``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import http.client
 import json
+import os
+import signal
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
+from urllib.parse import urlsplit
 
-from ..errors import ReproError
+from ..errors import DaemonDisconnectedError, ReproError
 from .aio import AsyncRoutingService
-from .daemon import (
-    DRAIN_GRACE_SECONDS,
-    install_signal_handlers,
-    poll_with_backoff,
-    remove_signal_handlers,
-)
 from .pipeline import RequestPipeline, framing_error
 
 __all__ = [
+    "DRAIN_GRACE_SECONDS",
+    "HttpClient",
     "HttpRoutingServer",
     "MAX_BODY_BYTES",
     "http_request",
-    "wait_for_http",
+    "wait_for_server",
 ]
 
 #: Default per-request body-size limit (bytes). Generous enough for a
@@ -113,6 +116,15 @@ MAX_BODY_BYTES = 8 * 2**20
 
 #: Maximum accepted size of a request line + headers (bytes).
 MAX_HEADER_BYTES = 32 * 1024
+
+#: Seconds the server waits for in-flight requests after a shutdown
+#: request before force-closing their connections.
+DRAIN_GRACE_SECONDS = 10.0
+
+#: Seconds a server starting on a UNIX socket waits for the bind lock
+#: before giving up (another server is mid-start on the same path, or a
+#: stale lock file with an unreadable pid is in the way).
+SOCKET_LOCK_TIMEOUT = 5.0
 
 _REASONS = {
     200: "OK",
@@ -141,8 +153,150 @@ class _HttpError(Exception):
         self.message = message
 
 
+# ----------------------------------------------------------------------
+# serve-loop plumbing: signals and the UNIX-socket bind
+# ----------------------------------------------------------------------
+def install_signal_handlers(
+    loop: "asyncio.AbstractEventLoop",
+    stop: Callable[[], None],
+    on_reload: Callable[[], None] | None = None,
+) -> list[signal.Signals]:
+    """Install the serve-loop signal handlers; returns what was installed.
+
+    SIGTERM and SIGINT trigger ``stop`` (graceful drain); SIGHUP — when
+    the platform has it and ``on_reload`` is given — triggers the
+    reload hook (topology-file re-read). Signals that cannot be
+    installed (non-main thread, unsupported platform) are skipped
+    silently; pass the returned list to :func:`remove_signal_handlers`
+    on the way out.
+    """
+    handlers: list[tuple[signal.Signals, Callable[[], None]]] = [
+        (signal.SIGTERM, stop),
+        (signal.SIGINT, stop),
+    ]
+    if on_reload is not None and hasattr(signal, "SIGHUP"):
+        handlers.append((signal.SIGHUP, on_reload))
+    installed: list[signal.Signals] = []
+    for sig, handler in handlers:
+        try:
+            loop.add_signal_handler(sig, handler)
+            installed.append(sig)
+        except (NotImplementedError, RuntimeError, ValueError):
+            pass  # non-main thread or unsupported platform
+    return installed
+
+
+def remove_signal_handlers(
+    loop: "asyncio.AbstractEventLoop", installed: Sequence[signal.Signals]
+) -> None:
+    """Remove handlers previously added by :func:`install_signal_handlers`."""
+    for sig in installed:
+        with contextlib.suppress(Exception):
+            loop.remove_signal_handler(sig)
+
+
+def _lock_is_stale(lock_path: str) -> bool:
+    """Whether a bind-lock file was left behind by a dead server.
+
+    The lock records its creator's pid; a pid that no longer exists
+    means the holder crashed between locking and unlocking. Unreadable
+    or mid-write (empty) files are treated as live — the waiter keeps
+    polling until its timeout rather than breaking a lock it cannot
+    attribute.
+    """
+    try:
+        with open(lock_path, "r", encoding="ascii") as fh:
+            pid = int(fh.read().strip())
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        return False  # e.g. PermissionError: alive, owned by someone else
+    return False
+
+
+@contextlib.contextmanager
+def _socket_bind_lock(path: str):
+    """Serialize the probe → unlink → bind sequence across servers.
+
+    Two servers starting concurrently on the same path can both probe a
+    stale socket file, both ``os.unlink`` it, and the later unlink
+    silently removes the earlier server's *freshly bound* socket
+    (TOCTOU). An ``O_CREAT|O_EXCL`` lock file next to the socket makes
+    the whole sequence mutually exclusive; a lock abandoned by a
+    crashed server is broken once its recorded pid is dead.
+
+    Raises
+    ------
+    ReproError
+        If the lock cannot be acquired before
+        :data:`SOCKET_LOCK_TIMEOUT` elapses.
+    """
+    lock_path = path + ".lock"
+    deadline = time.monotonic() + SOCKET_LOCK_TIMEOUT
+    delay = 0.002
+    while True:
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            break
+        except FileExistsError:
+            if _lock_is_stale(lock_path):
+                try:
+                    os.unlink(lock_path)
+                    continue  # broke the stale lock; retry immediately
+                except OSError:
+                    pass  # cannot remove it: fall through to the timed wait
+            if time.monotonic() >= deadline:
+                raise ReproError(
+                    f"timed out waiting for socket lock {lock_path}; another "
+                    "daemon is starting on this path (delete the lock file "
+                    "if its owner is gone)"
+                ) from None
+            time.sleep(delay)
+            delay = min(delay * 2, 0.1)
+    try:
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        os.close(fd)
+        yield
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(lock_path)
+
+
+def _remove_stale_socket(path: str) -> None:
+    """Unlink a socket file nothing answers on; refuse a live one.
+
+    Raises
+    ------
+    ReproError
+        If a server is already listening on ``path``.
+    """
+    if not os.path.exists(path):
+        return
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        probe.settimeout(1.0)
+        probe.connect(path)
+    except OSError:
+        # Nothing answering: a stale file from a dead server.
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+    else:
+        raise ReproError(f"a daemon is already listening on {path}")
+    finally:
+        probe.close()
+
+
+# ----------------------------------------------------------------------
+# server
+# ----------------------------------------------------------------------
 class HttpRoutingServer:
-    """Serve the request pipeline over HTTP/1.1 on a TCP port.
+    """Serve the request pipeline over HTTP/1.1 on TCP or a UNIX socket.
 
     Parameters
     ----------
@@ -151,8 +305,15 @@ class HttpRoutingServer:
         :meth:`AsyncRoutingService.aclose` (which leaves borrowed
         services open).
     host, port:
-        Listen address. ``port=0`` picks a free port; the bound port is
-        published on :attr:`bound_port` once listening.
+        TCP listen address. ``port=0`` picks a free port; the bound port
+        is published on :attr:`bound_port` once listening.
+    path:
+        Listen on this UNIX socket instead of ``host``/``port``. A
+        *stale* socket file (nothing listening) is replaced; a *live*
+        one makes :meth:`serve` raise :class:`~repro.errors.ReproError`
+        rather than hijack a running server's address. The probe →
+        unlink → bind sequence runs under an ``O_CREAT|O_EXCL`` lock
+        file (``<path>.lock``), and the socket file is removed on exit.
     max_body_bytes:
         Per-request body-size limit (413 above it).
     on_reload:
@@ -167,6 +328,7 @@ class HttpRoutingServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
+        path: str | os.PathLike | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         on_reload: Callable[[], None] | None = None,
     ) -> None:
@@ -176,15 +338,20 @@ class HttpRoutingServer:
         self.pipeline = RequestPipeline(service)
         self.host = host
         self.port = port
+        self.path = None if path is None else os.fspath(path)
         self.max_body_bytes = max_body_bytes
         self.on_reload = on_reload
-        #: The actually bound port, set once the server is listening
-        #: (useful with ``port=0``); ``None`` before start and after stop.
+        #: The actually bound TCP port, set once the server is listening
+        #: (useful with ``port=0``); ``None`` before start, after stop
+        #: and on a UNIX socket.
         self.bound_port: int | None = None
         self._stop: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._active_connections = 0
         self._writers: set[asyncio.StreamWriter] = set()
+        #: Connections parked between requests; shutdown hangs up on
+        #: these at once instead of waiting for their next request.
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -201,19 +368,34 @@ class HttpRoutingServer:
 
         Installs SIGTERM/SIGINT handlers when running on the main thread
         (a supervised deployment stops the server with SIGTERM); on
-        shutdown the listener closes first, in-flight requests get up to
-        :data:`~repro.service.daemon.DRAIN_GRACE_SECONDS` to finish,
-        stragglers are force-closed, and the service is closed last.
+        shutdown the listener closes first, idle keep-alive connections
+        are hung up on, in-flight requests get up to
+        :data:`DRAIN_GRACE_SECONDS` to finish, stragglers are
+        force-closed, and the service is closed last.
+
+        Raises
+        ------
+        ReproError
+            On a UNIX socket: if another server is already listening on
+            the path, or the bind lock cannot be acquired.
         """
         self._stop = asyncio.Event()
         self._loop = asyncio.get_running_loop()
-        server = await asyncio.start_server(
-            self._handle_conn, host=self.host, port=self.port, limit=MAX_HEADER_BYTES
-        )
-        self.bound_port = server.sockets[0].getsockname()[1]
-        installed = install_signal_handlers(
-            self._loop, self._stop.set, self.on_reload
-        )
+        if self.path is not None:
+            with _socket_bind_lock(self.path):
+                _remove_stale_socket(self.path)
+                server = await asyncio.start_unix_server(
+                    self._handle_conn, path=self.path, limit=MAX_HEADER_BYTES
+                )
+        else:
+            server = await asyncio.start_server(
+                self._handle_conn,
+                host=self.host,
+                port=self.port,
+                limit=MAX_HEADER_BYTES,
+            )
+            self.bound_port = server.sockets[0].getsockname()[1]
+        installed = install_signal_handlers(self._loop, self._stop.set, self.on_reload)
         try:
             await self._stop.wait()
         finally:
@@ -221,11 +403,16 @@ class HttpRoutingServer:
             server.close()
             await server.wait_closed()
             await self._drain()
+            if self.path is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(self.path)
             self.bound_port = None
             await self.service.aclose()
 
     async def _drain(self) -> None:
-        """Wait for in-flight connections, then force-close stragglers."""
+        """Hang up on idle connections, wait for busy ones, then force-close."""
+        for writer in list(self._idle):
+            writer.close()
         deadline = time.monotonic() + DRAIN_GRACE_SECONDS
         while self._active_connections > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
@@ -247,7 +434,7 @@ class HttpRoutingServer:
         try:
             while not self._stop.is_set():
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, writer)
                 except _HttpError as exc:
                     # Framing is broken or refused; answer and hang up.
                     await self._write_response(
@@ -258,7 +445,7 @@ class HttpRoutingServer:
                     )
                     break
                 if request is None:
-                    break  # EOF between requests, or stop while idle
+                    break  # EOF between requests, or hung up on while idle
                 method, path, query, headers, body, keep_alive = request
                 resp = await self.pipeline.process_http(
                     method,
@@ -298,28 +485,37 @@ class HttpRoutingServer:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _read_line(self, reader: asyncio.StreamReader) -> bytes:
-        """One header line, or ``b""`` when stop fires while idle."""
-        assert self._stop is not None
-        line_task = asyncio.ensure_future(reader.readline())
-        stop_task = asyncio.ensure_future(self._stop.wait())
+    async def _read_head(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bytes:
+        """The request line + headers, or ``b""`` on a clean end of connection.
+
+        One ``readuntil`` bounded by the stream limit
+        (:data:`MAX_HEADER_BYTES`). While it waits the connection is
+        *idle*: a shutdown hangs up on it, which ends the read as a
+        clean EOF.
+        """
+        self._idle.add(writer)
         try:
-            await asyncio.wait(
-                {line_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if line_task.done():
-                return line_task.result()
-            line_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await line_task
+            return await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            raise _HttpError(
+                400,
+                "bad_http",
+                f"request head exceeds the {MAX_HEADER_BYTES}-byte limit",
+            ) from None
+        except asyncio.IncompleteReadError as exc:
+            assert self._stop is not None
+            if exc.partial.strip() and not self._stop.is_set():
+                raise _HttpError(
+                    400, "bad_http", f"truncated request head: {exc.partial[:120]!r}"
+                ) from None
             return b""
         finally:
-            stop_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await stop_task
+            self._idle.discard(writer)
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> tuple[str, str, str, dict[str, str], bytes, bool] | None:
         """Parse one request: ``(method, path, query, headers, body, keep_alive)``.
 
@@ -328,36 +524,21 @@ class HttpRoutingServer:
         on a clean end of connection; raises :class:`_HttpError` on
         anything refused at the protocol level.
         """
-        try:
-            raw = await self._read_line(reader)
-        except ValueError as exc:  # request line over the stream limit
-            raise _HttpError(400, "bad_http", f"request line too long: {exc}") from None
-        if not raw:
+        head = await self._read_head(reader, writer)
+        if not head:
             return None
-        parts = raw.decode("latin-1").strip().split()
+        request_line, *header_lines = head.decode("latin-1").split("\r\n")
+        parts = request_line.split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise _HttpError(
-                400, "bad_http", f"malformed request line: {raw[:120]!r}"
+                400, "bad_http", f"malformed request line: {request_line[:120]!r}"
             )
         method, target, version = parts[0].upper(), parts[1], parts[2]
-
         headers: dict[str, str] = {}
-        header_bytes = 0
-        while True:
-            try:
-                hline = await reader.readline()
-            except ValueError as exc:
-                raise _HttpError(400, "bad_http", f"header too long: {exc}") from None
-            if not hline:
-                return None  # connection died mid-headers
-            header_bytes += len(hline)
-            if header_bytes > MAX_HEADER_BYTES:
-                raise _HttpError(400, "bad_http", "header section too large")
-            text = hline.decode("latin-1").strip()
-            if not text:
-                break
-            name, _, value = text.partition(":")
-            headers[name.strip().lower()] = value.strip()
+        for line in header_lines:
+            name, _, value = line.partition(":")
+            if name.strip():
+                headers[name.strip().lower()] = value.strip()
 
         keep_alive = version != "HTTP/1.0"
         connection = headers.get("connection", "").lower()
@@ -429,8 +610,147 @@ class HttpRoutingServer:
 
 
 # ----------------------------------------------------------------------
-# client side (stdlib urllib; shared by the CLI, tests and benchmarks)
+# client side (stdlib http.client; shared by the CLI, the cluster peers,
+# tests and benchmarks)
 # ----------------------------------------------------------------------
+class _UnixHTTPConnection(http.client.HTTPConnection):
+    """An :class:`http.client.HTTPConnection` over a UNIX socket."""
+
+    def __init__(self, path: str, timeout: float) -> None:
+        super().__init__("localhost", timeout=timeout)
+        self._path = path
+
+    def connect(self) -> None:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(self.timeout)
+        try:
+            sock.connect(self._path)
+        except OSError:
+            sock.close()
+            raise
+        self.sock = sock
+
+
+class HttpClient:
+    """One keep-alive HTTP/1.1 connection to a repro server.
+
+    >>> client = HttpClient("/tmp/repro.sock")        # doctest: +SKIP
+    >>> client.request("/v1/route", {"rows": 4, "cols": 4,
+    ...                              "workload": "random"})  # doctest: +SKIP
+    (200, {'ok': True, ...})
+
+    ``address`` is ``http://HOST:PORT`` (TCP) or, for anything else, a
+    UNIX-socket path. The client is thread-safe (one lock around the
+    connection). A connection that dies mid-request — the server
+    restarted, or closed an idle keep-alive connection — is dropped and
+    the request is retried once on a fresh connection; with
+    ``retry=False``, or when the retry dies too,
+    :class:`~repro.errors.DaemonDisconnectedError` is raised and the
+    next call reconnects.
+    """
+
+    def __init__(self, address: str, timeout: float = 300.0) -> None:
+        if not address:
+            raise ValueError("server address must be a non-empty string")
+        self.address = address
+        self.timeout = float(timeout)
+        self._lock = threading.Lock()
+        self._conn: http.client.HTTPConnection | None = None
+
+    def _open(self) -> http.client.HTTPConnection:
+        conn: http.client.HTTPConnection
+        if self.address.startswith("http://"):
+            url = urlsplit(self.address)
+            conn = http.client.HTTPConnection(
+                url.hostname or "127.0.0.1", url.port, timeout=self.timeout
+            )
+        else:
+            conn = _UnixHTTPConnection(self.address, self.timeout)
+        try:
+            conn.connect()
+        except OSError as exc:
+            conn.close()
+            raise ReproError(f"cannot reach server at {self.address}: {exc}") from exc
+        return conn
+
+    def request(
+        self,
+        path: str,
+        doc: Mapping[str, Any] | None = None,
+        *,
+        method: str | None = None,
+        headers: Mapping[str, str] | None = None,
+        retry: bool = True,
+    ) -> tuple[int, Any]:
+        """One request: ``(status, parsed body)``.
+
+        ``doc`` (when given) is sent as a JSON body with ``POST`` unless
+        ``method`` overrides it. ``headers`` adds request headers (e.g.
+        a ``traceparent`` to join a distributed trace). Non-2xx
+        responses are returned, not raised; bodies that fail to parse
+        as JSON come back as text.
+
+        Raises
+        ------
+        DaemonDisconnectedError
+            When the connection died mid-request (after the one retry,
+            unless ``retry`` is false).
+        ReproError
+            When the server cannot be reached or does not answer in
+            time.
+        """
+        body = None if doc is None else json.dumps(dict(doc)).encode("utf-8")
+        all_headers = {"Accept": _JSON}
+        if body is not None:
+            all_headers["Content-Type"] = _JSON
+        if headers:
+            all_headers.update(headers)
+        method = method or ("POST" if body is not None else "GET")
+        with self._lock:
+            for attempt in range(2):
+                if self._conn is None:
+                    self._conn = self._open()
+                try:
+                    self._conn.request(method, path, body, all_headers)
+                    resp = self._conn.getresponse()
+                    status, raw = resp.status, resp.read()
+                    break
+                except ConnectionError as exc:  # the server hung up on us
+                    self._close()
+                    if attempt or not retry:
+                        raise DaemonDisconnectedError(
+                            f"server at {self.address} dropped the connection "
+                            f"mid-request ({exc!r}); the next request will "
+                            "reconnect"
+                        ) from exc
+                except (OSError, http.client.HTTPException) as exc:
+                    self._close()
+                    raise ReproError(
+                        f"request to {self.address}{path} failed: {exc!r}"
+                    ) from exc
+        text = raw.decode("utf-8", errors="replace")
+        try:
+            return status, json.loads(text)
+        except ValueError:
+            return status, text
+
+    def _close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def close(self) -> None:
+        """Close the connection (the server keeps running)."""
+        with self._lock:
+            self._close()
+
+    def __enter__(self) -> "HttpClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
 def http_request(
     url: str,
     doc: Mapping[str, Any] | None = None,
@@ -439,64 +759,71 @@ def http_request(
     timeout: float = 300.0,
     headers: Mapping[str, str] | None = None,
 ) -> tuple[int, Any]:
-    """One HTTP request to a repro server: ``(status, parsed body)``.
+    """One request to ``http://HOST:PORT/path`` on a fresh connection.
 
-    ``doc`` (when given) is sent as a JSON body with ``POST`` unless
-    ``method`` overrides it. ``headers`` adds extra request headers
-    (e.g. a ``traceparent`` to join a distributed trace). Non-2xx
-    responses are returned, not raised; bodies that fail to parse as
-    JSON come back as text.
+    A convenience over :meth:`HttpClient.request` (same arguments and
+    return value) for one-off calls.
 
     Raises
     ------
     ReproError
         When the server cannot be reached at all.
     """
-    data = None
-    all_headers = {"Accept": _JSON}
-    if doc is not None:
-        data = json.dumps(dict(doc)).encode("utf-8")
-        all_headers["Content-Type"] = _JSON
-    if headers:
-        all_headers.update(headers)
-    req = urllib.request.Request(
-        url,
-        data=data,
-        headers=all_headers,
-        method=method or ("POST" if data is not None else "GET"),
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            status, raw = resp.status, resp.read()
-    except urllib.error.HTTPError as exc:
-        status, raw = exc.code, exc.read()
-    except (urllib.error.URLError, OSError) as exc:
-        raise ReproError(f"cannot reach HTTP server at {url}: {exc}") from exc
-    text = raw.decode("utf-8", errors="replace")
-    try:
-        return status, json.loads(text)
-    except ValueError:
-        return status, text
+    parts = urlsplit(url)
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    with HttpClient(f"{parts.scheme}://{parts.netloc}", timeout=timeout) as client:
+        return client.request(target, doc, method=method, headers=headers, retry=False)
 
 
-def wait_for_http(base_url: str, timeout: float = 10.0) -> None:
-    """Block until ``GET {base_url}/healthz`` answers 200.
+def poll_with_backoff(
+    probe: Callable[[], bool], timeout: float, describe: str, cap: float = 0.5
+) -> None:
+    """Run ``probe`` with exponential backoff until truthy or timeout.
 
-    Polls with exponential backoff (the shared
-    :func:`~repro.service.daemon.poll_with_backoff` loop).
+    2 ms doubling to ``cap``, clamped to the remaining budget, so a fast
+    server start is noticed in milliseconds while a slow one is not
+    hammered.
 
     Raises
     ------
     ReproError
-        If the server does not answer before ``timeout`` elapses.
+        If ``probe`` never returns truthy before ``timeout`` elapses;
+        the message leads with ``describe`` and names the elapsed wait.
     """
-    url = base_url.rstrip("/") + "/healthz"
+    t0 = time.monotonic()
+    deadline = t0 + timeout
+    delay = 0.002
+    while True:
+        if probe():
+            return
+        now = time.monotonic()
+        if now >= deadline:
+            raise ReproError(f"{describe} after {now - t0:.1f}s (timeout {timeout}s)")
+        time.sleep(min(delay, max(deadline - now, 0.0)))
+        delay = min(delay * 2, cap)
+
+
+def wait_for_server(address: str | os.PathLike, timeout: float = 10.0) -> None:
+    """Block until ``GET /healthz`` at ``address`` answers 200.
+
+    ``address`` is ``http://HOST:PORT`` or a UNIX-socket path, as for
+    :class:`HttpClient`. Polls with :func:`poll_with_backoff`.
+
+    Raises
+    ------
+    ReproError
+        If the server does not answer before ``timeout`` elapses; the
+        message names the address and the elapsed wait.
+    """
+    address = os.fspath(address)
 
     def probe() -> bool:
         try:
-            status, _body = http_request(url, timeout=1.0)
-            return status == 200
+            with HttpClient(address, timeout=1.0) as client:
+                return client.request("/healthz", retry=False)[0] == 200
         except ReproError:
             return False
 
-    poll_with_backoff(probe, timeout, f"no HTTP server answering at {base_url}")
+    poll_with_backoff(probe, timeout, f"no HTTP server answering at {address}")

@@ -1,8 +1,7 @@
 """The transport-agnostic request-lifecycle pipeline.
 
-Every request that reaches the service — over the NDJSON daemon
-(:mod:`repro.service.daemon`), the HTTP facade
-(:mod:`repro.service.http`), or a direct
+Every request that reaches the service — over the HTTP server
+(:mod:`repro.service.http`, on TCP or a UNIX socket) or a direct
 :meth:`~repro.service.handler.RequestHandler.dispatch` call — runs the
 same ordered stages, implemented exactly once here:
 
@@ -23,8 +22,7 @@ same ordered stages, implemented exactly once here:
 * **enqueue** — the wait for a weighted-fair scheduler slot, emitted by
   :class:`~repro.service.tenancy.FairScheduler` as the
   ``pipeline.enqueue`` span while the execute stage runs the op.
-* **execute** — the op dispatch itself (previously duplicated between
-  the two transports), with the tenant bound into the execution
+* **execute** — the op dispatch itself, with the tenant bound into the execution
   context so the async facade schedules it fairly.
 * **encode** — outcome accounting (``tenant_requests`` labeled
   counters, the registry's per-tenant outcome counts), trace-id echo
@@ -34,9 +32,9 @@ Each stage emits a trace span named ``pipeline.<stage>`` and a latency
 histogram under the same name; the root span keeps the historical
 ``handler.<op>`` name so existing trace tooling and dashboards keep
 working. :meth:`RequestPipeline.process_http` additionally owns the
-HTTP endpoint table (URL → op document), so neither transport contains
-any op dispatch or error mapping — ``daemon.py`` and ``http.py`` are
-pure framing, which CI lint-guards.
+HTTP endpoint table (URL → op document), so the transport contains no
+op dispatch or error mapping — ``http.py`` is pure framing, which CI
+lint-guards.
 
 Stable error codes added by the pipeline on top of the handler's table:
 ``unauthorized`` (HTTP 401 — no or unknown API key while tenancy is
@@ -110,7 +108,7 @@ def status_for(resp: Mapping[str, Any]) -> int:
 def framing_error(code: str, message: str) -> dict[str, Any]:
     """An ``"ok": false`` payload for transport-level (framing) failures.
 
-    The one error-document constructor the transports may call —
+    The one error-document constructor the transport may call —
     protocol-level refusals (``bad_http``, ``length_required``,
     ``payload_too_large``) happen before a request document exists, so
     they cannot go through :meth:`RequestPipeline.process`.
@@ -143,9 +141,8 @@ class RequestPipeline:
 
     Wraps an :class:`AsyncRoutingService` (and its
     :class:`~repro.service.tenancy.TenantRegistry` and
-    :class:`~repro.service.tenancy.FairScheduler`); the transports call
-    :meth:`process_line` (NDJSON) or :meth:`process_http` (HTTP) and
-    write the answer — nothing else.
+    :class:`~repro.service.tenancy.FairScheduler`); the HTTP transport
+    calls :meth:`process_http` and writes the answer — nothing else.
     """
 
     def __init__(
@@ -162,30 +159,6 @@ class RequestPipeline:
     def telemetry(self):
         """The shared telemetry registry (the wrapped service's)."""
         return self.service.telemetry
-
-    # ------------------------------------------------------------------
-    # NDJSON entry point
-    # ------------------------------------------------------------------
-    async def process_line(
-        self, line: str | bytes, api_key: str | None = None
-    ) -> dict[str, Any]:
-        """One raw request line -> one response document (never raises).
-
-        The JSON decode *is* the decode stage for this framing; its
-        timing is threaded into :meth:`process` so it shows up as the
-        ``pipeline.decode`` span and stage metric.
-        """
-        t0 = time.perf_counter()
-        try:
-            doc = json.loads(line)
-            if not isinstance(doc, dict):
-                raise ValueError("expected a JSON object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            self.telemetry.observe("pipeline.decode", time.perf_counter() - t0)
-            return error_doc("bad_json", f"bad request: {exc}")
-        return await self.process(
-            doc, api_key=api_key, decode_seconds=time.perf_counter() - t0
-        )
 
     # ------------------------------------------------------------------
     # the lifecycle
@@ -374,8 +347,9 @@ class RequestPipeline:
     async def _execute(self, op: Any, doc: dict[str, Any]) -> dict[str, Any]:
         """The execute stage: the op dispatch table (default ``route``).
 
-        This is the single dispatch surface both transports share; the
-        per-op implementations live on :class:`RequestHandler`.
+        This is the single op dispatch surface (HTTP endpoints and
+        :meth:`RequestHandler.dispatch` alike); the per-op
+        implementations live on :class:`RequestHandler`.
         """
         handler = self.handler
         if op == "ping":
@@ -595,8 +569,8 @@ class RequestPipeline:
         """Copy an inbound ``traceparent`` header into the op document.
 
         The pipeline reads trace context uniformly from ``doc["trace"]``
-        on both transports; an explicit ``trace`` field in the body
-        wins over the header.
+        (the form :meth:`RequestHandler.dispatch` callers use); an
+        explicit ``trace`` field in the body wins over the header.
         """
         traceparent = headers.get("traceparent")
         if traceparent and "trace" not in doc:

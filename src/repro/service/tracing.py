@@ -7,12 +7,12 @@ cache tiers, executor queue wait, pool compute, remote shard hops, the
 routing algorithm's own phases — wraps itself in :func:`span`. Spans
 carry monotonic timestamps, a status, and free-form key/value
 attributes; finished traces land in a bounded in-memory
-:class:`TraceBuffer` queryable over every transport (``GET /v1/traces``
-and the ``trace_get`` NDJSON op) and renderable with ``repro trace``.
+:class:`TraceBuffer` queryable with ``GET /v1/traces`` (the
+``trace_get`` op) and renderable with ``repro trace``.
 
 Propagation is by value, not by baggage: :func:`current_traceparent`
 yields a ``00-<trace-id>-<span-id>-01`` string naming the active span,
-the remote client attaches it (HTTP header / NDJSON ``trace`` field),
+the remote client attaches it as a ``traceparent`` HTTP header,
 and the receiving handler starts its *own* trace whose root span is
 parented on the caller's span id. Each node therefore buffers only the
 spans it recorded; a cross-node span tree is reassembled by fetching

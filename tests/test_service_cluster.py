@@ -26,15 +26,15 @@ from repro.routing import route
 from repro.service import (
     AsyncRoutingService,
     ClusterScheduleCache,
-    DaemonClient,
     HashRing,
+    HttpClient,
+    HttpRoutingServer,
     InProcessShardClient,
     RemoteShardClient,
-    RoutingDaemon,
     RoutingService,
     ScheduleCache,
     ShardedScheduleCache,
-    wait_for_socket,
+    wait_for_server,
 )
 
 JOIN_TIMEOUT = 60.0
@@ -369,20 +369,27 @@ def _start_daemon(tmp_path, name="repro.sock", **service_kwargs):
     service_kwargs.setdefault("cache_size", 64)
     service_kwargs.setdefault("max_workers", 1)
     svc = AsyncRoutingService(**service_kwargs)
-    daemon = RoutingDaemon(svc)
+    server = HttpRoutingServer(svc, path=sock)
     thread = threading.Thread(
-        target=asyncio.run, args=(daemon.serve_unix(sock),), daemon=True
+        target=asyncio.run, args=(server.serve(),), daemon=True
     )
     thread.start()
-    wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+    wait_for_server(sock, timeout=JOIN_TIMEOUT)
     return sock, thread
 
 
 def _shutdown(sock, thread):
-    with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-        assert client.shutdown()
+    with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+        assert client.request("/v1/shutdown", {})[1]["ok"]
     thread.join(timeout=JOIN_TIMEOUT)
     assert not thread.is_alive()
+
+
+def _route_batch(sock, docs):
+    with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+        status, body = client.request("/v1/route_batch", {"requests": docs})
+    assert status == 200, body
+    return body["results"]
 
 
 class TestRemoteShardProtocol:
@@ -404,32 +411,23 @@ class TestRemoteShardProtocol:
     def test_daemon_serves_peer_entries(self, tmp_path, schedule):
         """A daemon probes its peer's warm cache before computing."""
         sock_a, thread_a = _start_daemon(tmp_path, name="a.sock")
-        sock_b = str(tmp_path / "b.sock")
-        svc_b = AsyncRoutingService(
-            cache_size=64,
-            max_workers=1,
+        sock_b, thread_b = _start_daemon(
+            tmp_path,
+            name="b.sock",
             cluster_peers=(sock_a,),
-            cluster_node_id=sock_b,
+            cluster_node_id=str(tmp_path / "b.sock"),
             cluster_replication=2,
         )
-        daemon_b = RoutingDaemon(svc_b)
-        thread_b = threading.Thread(
-            target=asyncio.run, args=(daemon_b.serve_unix(sock_b),), daemon=True
-        )
-        thread_b.start()
-        wait_for_socket(sock_b, timeout=JOIN_TIMEOUT)
         try:
             docs = [
                 {"rows": 4, "cols": 4, "workload": "random", "seed": s}
                 for s in range(8)
             ]
-            with DaemonClient(sock_a, timeout=JOIN_TIMEOUT) as ca:
-                warm = ca.route_batch(docs)
-                assert all(r["ok"] for r in warm)
-            with DaemonClient(sock_b, timeout=JOIN_TIMEOUT) as cb:
-                served = cb.route_batch(docs)
-                assert all(r["ok"] for r in served)
-                cluster = cb.stats()["schedule_cache"]["cluster"]
+            assert all(r["ok"] for r in _route_batch(sock_a, docs))
+            served = _route_batch(sock_b, docs)
+            assert all(r["ok"] for r in served)
+            with HttpClient(sock_b, timeout=JOIN_TIMEOUT) as cb:
+                cluster = cb.request("/stats")[1]["stats"]["schedule_cache"]["cluster"]
             # B computed nothing: every key was a local or remote hit.
             assert all(r["source"] == "cache" for r in served)
             assert cluster["remote_hits"] >= 1
@@ -487,11 +485,11 @@ class TestRemoteShardProtocol:
         )
         out_file = tmp_path / "results.jsonl"
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                warm = client.route_batch(
-                    [json.loads(line) for line in requests_file.read_text().splitlines()]
-                )
-                assert all(r["ok"] for r in warm)
+            warm = _route_batch(
+                sock,
+                [json.loads(line) for line in requests_file.read_text().splitlines()],
+            )
+            assert all(r["ok"] for r in warm)
             code = main([
                 "batch", str(requests_file), "--cluster", sock,
                 "--workers", "1", "--out", str(out_file),
@@ -515,7 +513,7 @@ class TestRemoteShardProtocol:
         )
         code = main([
             "batch", str(requests_file), "--cluster", "/tmp/x.sock",
-            "--daemon", "/tmp/y.sock",
+            "--daemon", "http://127.0.0.1:1",
         ])
         assert code == 2
         assert "--cluster" in capsys.readouterr().err

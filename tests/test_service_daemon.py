@@ -1,7 +1,7 @@
-"""Tests for the daemon front end (repro.service.daemon) and its CLI.
+"""Tests for the daemon on a UNIX socket (HttpRoutingServer) and its CLI.
 
 Socket tests run the server on a background thread with its own event
-loop and talk to it through the real :class:`DaemonClient`; every
+loop and talk HTTP to it through the real :class:`HttpClient`; every
 blocking wait carries an explicit timeout so a hung socket fails the
 test instead of wedging the suite (CI adds pytest-timeout on top).
 """
@@ -9,10 +9,11 @@ test instead of wedging the suite (CI adds pytest-timeout on top).
 from __future__ import annotations
 
 import asyncio
-import io
 import json
 import os
 import signal
+import socket
+import sys
 import threading
 import time
 
@@ -22,13 +23,18 @@ from repro.cli import main
 from repro.errors import DaemonDisconnectedError, ReproError
 from repro.service import (
     AsyncRoutingService,
-    DaemonClient,
-    RoutingDaemon,
+    HttpClient,
+    HttpRoutingServer,
     request_from_doc,
-    wait_for_socket,
+    wait_for_server,
 )
+from repro.service import http as http_mod
 
 JOIN_TIMEOUT = 60.0
+
+#: A drain that waits for an idle keep-alive connection would take the
+#: full grace period; a prompt one takes milliseconds.
+PROMPT_EXIT_SECONDS = http_mod.DRAIN_GRACE_SECONDS / 5
 
 
 class TestRequestFromDoc:
@@ -65,46 +71,69 @@ def _start_daemon(tmp_path, **service_kwargs):
     service_kwargs.setdefault("cache_size", 64)
     service_kwargs.setdefault("max_workers", 1)
     svc = AsyncRoutingService(**service_kwargs)
-    daemon = RoutingDaemon(svc)
+    server = HttpRoutingServer(svc, path=sock)
     thread = threading.Thread(
-        target=asyncio.run, args=(daemon.serve_unix(sock),), daemon=True
+        target=asyncio.run, args=(server.serve(),), daemon=True
     )
     thread.start()
-    wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+    wait_for_server(sock, timeout=JOIN_TIMEOUT)
     return sock, thread, svc
 
 
 def _shutdown(sock, thread):
-    with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-        assert client.shutdown()
+    with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+        status, body = client.request("/v1/shutdown", {})
+        assert status == 200 and body["ok"]
     thread.join(timeout=JOIN_TIMEOUT)
     assert not thread.is_alive()
+
+
+def _route_request(doc) -> bytes:
+    body = json.dumps(doc).encode()
+    return (
+        b"POST /v1/route HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+    )
+
+
+def _read_response(fh) -> tuple[int, dict]:
+    """One HTTP response off a socket file: (status, JSON body)."""
+    status = int(fh.readline().split()[1])
+    length = 0
+    while True:
+        line = fh.readline().strip()
+        if not line:
+            break
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return status, json.loads(fh.read(length))
 
 
 class TestUnixSocketDaemon:
     def test_ping_route_stats_roundtrip(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                assert client.ping()
+            with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+                assert client.request("/healthz")[1]["ok"]
                 doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 0}
-                r1 = client.route(doc)
+                _, r1 = client.request("/v1/route", doc)
                 assert r1["ok"] and r1["source"] == "computed"
                 assert r1["depth"] >= 1
-                r2 = client.route(doc)
+                _, r2 = client.request("/v1/route", doc)
                 assert r2["source"] == "cache"
                 assert r2["depth"] == r1["depth"]
-                stats = client.stats()
-                assert stats["telemetry"]["counters"]["aio_requests"] == 2
+                _, stats = client.request("/stats")
+                assert stats["stats"]["telemetry"]["counters"]["aio_requests"] == 2
         finally:
             _shutdown(sock, thread)
 
     def test_include_schedule_and_id_echo(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                resp = client.request({
-                    "op": "route", "id": "req-7", "rows": 3, "cols": 3,
+            with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+                _, resp = client.request("/v1/route", {
+                    "id": "req-7", "rows": 3, "cols": 3,
                     "workload": "random", "seed": 1, "include_schedule": True,
                 })
                 assert resp["id"] == "req-7"
@@ -115,126 +144,134 @@ class TestUnixSocketDaemon:
     def test_bad_requests_isolated(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                bad = client.request({"op": "route", "rows": 3})
+            with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+                status, bad = client.request("/v1/route", {"rows": 3})
+                assert status == 400
                 assert not bad["ok"] and "cols" in bad["error"]
-                unknown = client.request({"op": "frobnicate"})
-                assert not unknown["ok"] and "unknown op" in unknown["error"]
-                # Non-JSON garbage gets an error response, not a hangup.
-                client._ensure_connected()
-                client._file.write(b"{not json}\n")
-                client._file.flush()
-                garbage = client._recv()
-                assert not garbage["ok"] and "bad request" in garbage["error"]
+                status, unknown = client.request("/v1/frobnicate", {})
+                assert status == 404 and unknown["code"] == "not_found"
                 # Validation failures (bad timeout type) and
                 # non-ReproError failures (an options key colliding with
                 # a submit_async parameter) must also come back as one
-                # error line, not kill the connection.
-                bad_timeout = client.request({
-                    "op": "route", "rows": 3, "cols": 3,
-                    "workload": "random", "timeout": "abc",
+                # error document, not kill the connection.
+                _, bad_timeout = client.request("/v1/route", {
+                    "rows": 3, "cols": 3, "workload": "random",
+                    "timeout": "abc",
                 })
                 assert not bad_timeout["ok"]
                 assert bad_timeout["code"] == "bad_request"
                 assert "'timeout'" in bad_timeout["error"]
-                bad_perm = client.request({
-                    "op": "route", "rows": 2, "cols": 2,
-                    "perm": ["a", "b", "c", "d"],
+                _, bad_perm = client.request("/v1/route", {
+                    "rows": 2, "cols": 2, "perm": ["a", "b", "c", "d"],
                 })
                 assert not bad_perm["ok"]
                 assert bad_perm["code"] == "bad_request"
                 assert "perm" in bad_perm["error"]
-                collision = client.request({
-                    "op": "route", "rows": 3, "cols": 3,
-                    "workload": "random", "options": {"router": "naive"},
+                _, collision = client.request("/v1/route", {
+                    "rows": 3, "cols": 3, "workload": "random",
+                    "options": {"router": "naive"},
                 })
                 assert not collision["ok"] and collision["error"]
-                # The connection is still serviceable afterwards.
-                assert client.ping()
+            # Non-JSON garbage gets an error response, not a hangup: the
+            # same connection still serves the next request.
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+                s.settimeout(JOIN_TIMEOUT)
+                s.connect(sock)
+                fh = s.makefile("rwb")
+                fh.write(
+                    b"POST /v1/route HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: 10\r\n\r\n{not json}"
+                )
+                fh.write(_route_request(
+                    {"rows": 3, "cols": 3, "workload": "random", "seed": 0}
+                ))
+                fh.flush()
+                status, garbage = _read_response(fh)
+                assert status == 400 and garbage["code"] == "bad_json"
+                status, ok = _read_response(fh)
+                assert status == 200 and ok["ok"]
         finally:
             _shutdown(sock, thread)
+
+    def test_shared_client_is_thread_safe(self, tmp_path):
+        """Many threads on one keep-alive client: every caller gets the
+        answer to its own request (the connection lock holds)."""
+        sock, thread, _svc = _start_daemon(tmp_path)
+        client = HttpClient(sock, timeout=JOIN_TIMEOUT)
+        mismatches: list = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def worker(w: int) -> None:
+                for i in range(15):
+                    rid = f"w{w}-{i}"
+                    _, resp = client.request("/v1/route", {
+                        "id": rid, "rows": 3, "cols": 3,
+                        "workload": "random", "seed": i % 3,
+                    })
+                    if resp.get("id") != rid or not resp.get("ok"):
+                        mismatches.append((rid, resp))
+
+            workers = [
+                threading.Thread(target=worker, args=(w,), daemon=True)
+                for w in range(8)
+            ]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=JOIN_TIMEOUT)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+            client.close()
+            _shutdown(sock, thread)
+        assert mismatches == []
 
     def test_refuses_to_hijack_live_socket(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
         try:
-            rival = RoutingDaemon(
-                AsyncRoutingService(cache_size=8, max_workers=1)
+            rival = HttpRoutingServer(
+                AsyncRoutingService(cache_size=8, max_workers=1), path=sock
             )
             with pytest.raises(ReproError, match="already listening"):
-                asyncio.run(rival.serve_unix(sock))
+                asyncio.run(rival.serve())
             # The running daemon is untouched.
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                assert client.ping()
+            with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+                assert client.request("/healthz")[0] == 200
         finally:
             _shutdown(sock, thread)
 
     def test_stale_socket_file_is_replaced(self, tmp_path):
-        import os
-        import socket as socket_mod
-
         sock = str(tmp_path / "repro.sock")
         # A dead daemon's leftover: a bound-but-unserved socket file.
-        stale = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         stale.bind(sock)
         stale.close()
         assert os.path.exists(sock)
         sock2, thread, _svc = _start_daemon(tmp_path)
         assert sock2 == sock
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                assert client.ping()
-        finally:
-            _shutdown(sock, thread)
-
-    def test_pipelined_requests_dispatch_concurrently(self, tmp_path):
-        import time as time_mod
-
-        sock, thread, svc = _start_daemon(tmp_path)
-        state = {"active": 0, "peak": 0}
-        lock = threading.Lock()
-        try:
-            ex = svc.service.executor
-            real_submit = ex.submit_job
-
-            def counting_submit(fn, payload):
-                def wrapped(p):
-                    with lock:
-                        state["active"] += 1
-                        state["peak"] = max(state["peak"], state["active"])
-                    try:
-                        time_mod.sleep(0.05)
-                        return fn(p)
-                    finally:
-                        with lock:
-                            state["active"] -= 1
-
-                return real_submit(wrapped, payload)
-
-            ex.submit_job = counting_submit
-            docs = [
-                {"rows": 3, "cols": 3, "workload": "random", "seed": s}
-                for s in range(4)
-            ]
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                responses = client.route_batch(docs, window=4)
-            ex.submit_job = real_submit
-            assert all(r["ok"] for r in responses)
-            # One pipelined connection must reach the pool concurrently,
-            # not line-by-line.
-            assert state["peak"] >= 2, state
+            with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+                assert client.request("/healthz")[0] == 200
         finally:
             _shutdown(sock, thread)
 
     def test_route_batch_pipelines_in_order(self, tmp_path):
+        """HTTP/1.1 pipelining: requests sent back to back on one
+        connection are answered in request order."""
         sock, thread, _svc = _start_daemon(tmp_path)
         try:
             docs = [
                 {"rows": 3, "cols": 3, "workload": "random", "seed": s % 2}
                 for s in range(10)
             ]
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                responses = client.route_batch(docs, window=4)
-            assert len(responses) == 10
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+                s.settimeout(JOIN_TIMEOUT)
+                s.connect(sock)
+                fh = s.makefile("rwb")
+                fh.write(b"".join(_route_request(doc) for doc in docs))
+                fh.flush()
+                responses = [_read_response(fh)[1] for _ in docs]
             assert all(r["ok"] for r in responses)
             # Same seed => same key: responses landed in request order.
             assert responses[0]["key"] == responses[2]["key"]
@@ -245,39 +282,36 @@ class TestUnixSocketDaemon:
 
     def test_shutdown_with_idle_second_connection(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
-        idle = DaemonClient(sock, timeout=JOIN_TIMEOUT)
+        idle = HttpClient(sock, timeout=JOIN_TIMEOUT)
         try:
-            assert idle.ping()  # connected and idle from here on
-            _shutdown(sock, thread)  # must not hang on the idle conn
+            assert idle.request("/healthz")[0] == 200  # kept alive, idle
+            t0 = time.monotonic()
+            _shutdown(sock, thread)  # must not wait on the idle conn
+            assert time.monotonic() - t0 < PROMPT_EXIT_SECONDS
         finally:
             idle.close()
 
     def test_socket_file_removed_on_shutdown(self, tmp_path):
-        import os
-
         sock, thread, _svc = _start_daemon(tmp_path)
         _shutdown(sock, thread)
         assert not os.path.exists(sock)
 
     def test_client_refuses_dead_socket(self, tmp_path):
-        client = DaemonClient(str(tmp_path / "nothing.sock"), timeout=1.0)
+        client = HttpClient(str(tmp_path / "nothing.sock"), timeout=1.0)
         with pytest.raises(ReproError):
-            client.ping()
+            client.request("/healthz")
         with pytest.raises(ReproError):
-            wait_for_socket(tmp_path / "nothing.sock", timeout=0.2)
+            wait_for_server(tmp_path / "nothing.sock", timeout=0.2)
 
 
 class TestBindRace:
     """The stale-socket TOCTOU fix: probe→unlink→bind under a lock file."""
 
     def test_racing_daemons_exactly_one_wins(self, tmp_path):
-        import os
-        import socket as socket_mod
-
         sock = str(tmp_path / "race.sock")
         # Seed the TOCTOU condition both daemons must resolve: a stale
         # socket file from a dead daemon.
-        stale = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         stale.bind(sock)
         stale.close()
 
@@ -287,10 +321,10 @@ class TestBindRace:
 
         def run(name: str) -> None:
             svc = AsyncRoutingService(cache_size=8, max_workers=1)
-            daemon = RoutingDaemon(svc)
+            server = HttpRoutingServer(svc, path=sock)
             barrier.wait()
             try:
-                asyncio.run(daemon.serve_unix(sock))
+                asyncio.run(server.serve())
                 served.append(name)
             except ReproError as exc:
                 lost.append(str(exc))
@@ -302,18 +336,16 @@ class TestBindRace:
         ]
         for t in threads:
             t.start()
-        wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+        wait_for_server(sock, timeout=JOIN_TIMEOUT)
         # The loser notices the live winner and exits loudly.
-        import time as time_mod
-
-        deadline = time_mod.monotonic() + JOIN_TIMEOUT
-        while len(lost) < 1 and time_mod.monotonic() < deadline:
-            time_mod.sleep(0.01)
+        deadline = time.monotonic() + JOIN_TIMEOUT
+        while len(lost) < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert len(lost) == 1 and "already listening" in lost[0]
         # The winner is fully functional and shuts down cleanly.
-        with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-            assert client.ping()
-            assert client.shutdown()
+        with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+            assert client.request("/healthz")[0] == 200
+            assert client.request("/v1/shutdown", {})[1]["ok"]
         for t in threads:
             t.join(timeout=JOIN_TIMEOUT)
             assert not t.is_alive()
@@ -321,7 +353,6 @@ class TestBindRace:
         assert not os.path.exists(sock + ".lock")
 
     def test_stale_lock_from_dead_pid_is_broken(self, tmp_path):
-        import os
         import subprocess
         import sys as sys_mod
 
@@ -333,8 +364,8 @@ class TestBindRace:
         sock2, thread, _svc = _start_daemon(tmp_path)
         assert sock2 == sock
         try:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                assert client.ping()
+            with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+                assert client.request("/healthz")[0] == 200
         finally:
             _shutdown(sock, thread)
         assert not os.path.exists(sock + ".lock")
@@ -342,11 +373,7 @@ class TestBindRace:
     def test_unremovable_stale_lock_times_out(self, tmp_path, monkeypatch):
         """A stale lock that cannot be unlinked must hit the timeout,
         not spin forever retrying the unlink."""
-        import os
-
-        from repro.service import daemon as daemon_mod
-
-        monkeypatch.setattr(daemon_mod, "SOCKET_LOCK_TIMEOUT", 0.2)
+        monkeypatch.setattr(http_mod, "SOCKET_LOCK_TIMEOUT", 0.2)
         sock = str(tmp_path / "stuck.sock")
         lock = sock + ".lock"
         with open(lock, "w", encoding="ascii") as fh:
@@ -358,27 +385,23 @@ class TestBindRace:
                 raise PermissionError(f"cannot unlink {p}")
             return real_unlink(p, *args, **kwargs)
 
-        monkeypatch.setattr(daemon_mod.os, "unlink", failing_unlink)
+        monkeypatch.setattr(http_mod.os, "unlink", failing_unlink)
         svc = AsyncRoutingService(cache_size=8, max_workers=1)
         try:
             with pytest.raises(ReproError, match="socket lock"):
-                asyncio.run(RoutingDaemon(svc).serve_unix(sock))
+                asyncio.run(HttpRoutingServer(svc, path=sock).serve())
         finally:
             asyncio.run(svc.aclose())
 
     def test_held_lock_times_out_with_helpful_error(self, tmp_path, monkeypatch):
-        import os
-
-        from repro.service import daemon as daemon_mod
-
-        monkeypatch.setattr(daemon_mod, "SOCKET_LOCK_TIMEOUT", 0.2)
+        monkeypatch.setattr(http_mod, "SOCKET_LOCK_TIMEOUT", 0.2)
         sock = str(tmp_path / "held.sock")
         with open(sock + ".lock", "w", encoding="ascii") as fh:
             fh.write(str(os.getpid()))  # alive: never considered stale
         svc = AsyncRoutingService(cache_size=8, max_workers=1)
         try:
             with pytest.raises(ReproError, match="socket lock"):
-                asyncio.run(RoutingDaemon(svc).serve_unix(sock))
+                asyncio.run(HttpRoutingServer(svc, path=sock).serve())
         finally:
             asyncio.run(svc.aclose())
             os.unlink(sock + ".lock")
@@ -387,25 +410,30 @@ class TestBindRace:
 class TestHalfOpenClient:
     def test_dead_connection_raises_and_reconnects(self, tmp_path):
         sock, thread, _svc = _start_daemon(tmp_path)
-        client = DaemonClient(sock, timeout=JOIN_TIMEOUT)
+        client = HttpClient(sock, timeout=JOIN_TIMEOUT)
         try:
-            assert client.ping()
-            # The daemon exits between this client's send and recv
-            # cycles, leaving the client's connection half-open.
+            assert client.request("/healthz")[0] == 200
+            # The daemon exits between two requests, leaving the
+            # client's kept-alive connection half-open.
             _shutdown(sock, thread)
             with pytest.raises(DaemonDisconnectedError):
-                client.request({"op": "ping"})
-            # The client marked itself disconnected...
-            assert client._sock is None and client._file is None
+                client.request("/healthz", retry=False)
+            # The client dropped the dead connection...
+            assert client._conn is None
             # ...so once a daemon is back on the path, the next request
             # transparently reconnects instead of writing into the dead
             # socket.
             sock2, thread2, _svc2 = _start_daemon(tmp_path)
             assert sock2 == sock
             try:
-                assert client.ping()
-            finally:
+                assert client.request("/healthz")[0] == 200
+                # A restart under a kept-alive connection is a half-open
+                # socket too; the default single retry hides it.
                 _shutdown(sock, thread2)
+                sock3, thread3, _svc3 = _start_daemon(tmp_path)
+                assert client.request("/healthz")[0] == 200
+            finally:
+                _shutdown(sock, thread3)
         finally:
             client.close()
 
@@ -414,21 +442,19 @@ class TestWaitForSocket:
     def test_timeout_error_names_path_and_elapsed(self, tmp_path):
         path = tmp_path / "nothing.sock"
         with pytest.raises(ReproError) as excinfo:
-            wait_for_socket(path, timeout=0.2)
+            wait_for_server(path, timeout=0.2)
         message = str(excinfo.value)
         assert str(path) in message
         assert "after" in message and "timeout 0.2s" in message
 
     def test_backoff_grows_and_caps(self, tmp_path, monkeypatch):
-        from repro.service import daemon as daemon_mod
-
         delays: list[float] = []
-        real_sleep = daemon_mod.time.sleep
+        real_sleep = http_mod.time.sleep
         monkeypatch.setattr(
-            daemon_mod.time, "sleep", lambda s: delays.append(s) or real_sleep(0)
+            http_mod.time, "sleep", lambda s: delays.append(s) or real_sleep(0)
         )
         with pytest.raises(ReproError):
-            wait_for_socket(tmp_path / "nothing.sock", timeout=0.05)
+            wait_for_server(tmp_path / "nothing.sock", timeout=0.05)
         assert len(delays) >= 4, delays
         # Doubling from 2 ms while under the remaining budget...
         assert delays[:4] == pytest.approx([0.002, 0.004, 0.008, 0.016])
@@ -437,65 +463,16 @@ class TestWaitForSocket:
         assert max(delays) <= 0.5
 
 
-class TestPipeDaemon:
-    def _serve(self, lines):
-        inp = io.StringIO("".join(json.dumps(doc) + "\n" for doc in lines))
-        out = io.StringIO()
-        svc = AsyncRoutingService(cache_size=16, max_workers=1)
-        asyncio.run(RoutingDaemon(svc).serve_pipe(inp, out))
-        return [json.loads(line) for line in out.getvalue().splitlines()]
-
-    def test_protocol_over_pipes(self):
-        responses = self._serve([
-            {"op": "ping"},
-            {"rows": 3, "cols": 3, "workload": "random", "seed": 0},
-            {"op": "shutdown"},
-        ])
-        assert [r["ok"] for r in responses] == [True, True, True]
-        assert responses[1]["source"] == "computed"
-        assert responses[2]["op"] == "shutdown"
-
-    def test_eof_acts_as_shutdown(self):
-        responses = self._serve([{"op": "ping"}])  # stream ends without op
-        assert len(responses) == 1
-        assert responses[0]["ok"] is True
-        assert responses[0]["op"] == "ping"
-        # ping reports service identity (version always; node_id/epoch
-        # only in cluster mode).
-        assert responses[0]["version"]
-
-
-class _ParkedInput:
-    """A pipe stand-in: hands out ``lines``, then parks on readline.
-
-    After the scripted lines drain, ``readline`` blocks until
-    :attr:`gate` is set (with a bounded timeout so a regression fails
-    the test instead of wedging it) and then reports EOF.
-    ``reads_after_drain`` records whether the serve loop came back for
-    more input — a drained SIGTERM exit never should.
-    """
-
-    def __init__(self, lines):
-        self._lines = [json.dumps(doc) + "\n" for doc in lines]
-        self.gate = threading.Event()
-        self.reads_after_drain = 0
-
-    def readline(self):
-        if self._lines:
-            return self._lines.pop(0)
-        self.reads_after_drain += 1
-        self.gate.wait(5.0)
-        return ""
-
-
 @pytest.mark.skipif(
     not hasattr(signal, "SIGHUP"), reason="requires unix signals"
 )
-class TestPipeSignals:
-    """Satellite: --pipe mode shares the socket/HTTP shutdown hook."""
+class TestServeSignals:
+    """SIGTERM drains: the serve loop runs on the main thread, where
+    asyncio can install signal handlers, exactly as `repro serve` does."""
 
-    def test_sigterm_drains_inflight_request(self):
+    def test_sigterm_drains_inflight_request(self, tmp_path):
         """A SIGTERM mid-request still answers it before exiting."""
+        sock = str(tmp_path / "repro.sock")
         svc = AsyncRoutingService(cache_size=16, max_workers=1)
         ex = svc.service.executor
         real_submit = ex.submit_job
@@ -511,10 +488,14 @@ class TestPipeSignals:
             return real_submit(wrapped, payload)
 
         ex.submit_job = gated_submit
-        inp = _ParkedInput(
-            [{"rows": 4, "cols": 4, "workload": "random", "seed": 7}]
-        )
-        out = io.StringIO()
+        outcome: dict = {}
+
+        def client() -> None:
+            wait_for_server(sock, timeout=JOIN_TIMEOUT)
+            with HttpClient(sock, timeout=JOIN_TIMEOUT) as c:
+                outcome["resp"] = c.request("/v1/route", {
+                    "rows": 4, "cols": 4, "workload": "random", "seed": 7,
+                })
 
         def killer() -> None:
             assert started.wait(JOIN_TIMEOUT)
@@ -524,42 +505,42 @@ class TestPipeSignals:
             # ...and only then does the worker finish.
             release.set()
 
-        t = threading.Thread(target=killer, daemon=True)
-        t.start()
-        # serve_pipe runs on the main thread: that is where asyncio can
-        # install signal handlers, exactly as `repro serve --pipe` does.
-        asyncio.run(RoutingDaemon(svc).serve_pipe(inp, out))
-        t.join(timeout=JOIN_TIMEOUT)
-        assert not t.is_alive()
-        responses = [json.loads(x) for x in out.getvalue().splitlines()]
-        assert len(responses) == 1
-        assert responses[0]["ok"] is True  # drained, not dropped
-        # The stop event — not EOF — ended the loop: the daemon never
-        # went back to the pipe for more input after the signal.
-        assert inp.reads_after_drain == 0
+        threads = [
+            threading.Thread(target=fn, daemon=True) for fn in (client, killer)
+        ]
+        for t in threads:
+            t.start()
+        asyncio.run(HttpRoutingServer(svc, path=sock).serve())
+        for t in threads:
+            t.join(timeout=JOIN_TIMEOUT)
+            assert not t.is_alive()
+        status, body = outcome["resp"]
+        assert status == 200 and body["ok"] is True  # drained, not dropped
+        assert not os.path.exists(sock)
 
-    def test_sigterm_while_parked_on_readline_exits(self):
-        """A SIGTERM with no request in flight exits promptly."""
+    def test_sigterm_with_idle_keepalive_exits_promptly(self, tmp_path):
+        """SIGTERM with only an idle kept-alive client exits at once."""
+        sock = str(tmp_path / "repro.sock")
         svc = AsyncRoutingService(cache_size=16, max_workers=1)
-        inp = _ParkedInput([{"op": "ping"}])
-        out = io.StringIO()
+        idle = HttpClient(sock, timeout=JOIN_TIMEOUT)
+        sent: dict = {}
 
         def killer() -> None:
-            deadline = time.monotonic() + JOIN_TIMEOUT
-            while not out.getvalue().strip():  # the ping was answered
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
+            wait_for_server(sock, timeout=JOIN_TIMEOUT)
+            assert idle.request("/healthz")[0] == 200  # now parked
+            sent["t0"] = time.monotonic()
             os.kill(os.getpid(), signal.SIGTERM)
-            time.sleep(0.1)
-            inp.gate.set()  # unblock the abandoned background read
 
         t = threading.Thread(target=killer, daemon=True)
         t.start()
-        asyncio.run(RoutingDaemon(svc).serve_pipe(inp, out))
+        try:
+            asyncio.run(HttpRoutingServer(svc, path=sock).serve())
+            elapsed = time.monotonic() - sent["t0"]
+        finally:
+            idle.close()
         t.join(timeout=JOIN_TIMEOUT)
         assert not t.is_alive()
-        responses = [json.loads(x) for x in out.getvalue().splitlines()]
-        assert len(responses) == 1 and responses[0]["op"] == "ping"
+        assert elapsed < PROMPT_EXIT_SECONDS
 
 
 class TestServeCli:
@@ -574,7 +555,7 @@ class TestServeCli:
             daemon=True,
         )
         thread.start()
-        wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+        wait_for_server(sock, timeout=JOIN_TIMEOUT)
 
         reqs = tmp_path / "requests.jsonl"
         reqs.write_text(
@@ -598,10 +579,7 @@ class TestServeCli:
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [line["source"] for line in lines] == ["cache", "cache"]
 
-        with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-            assert client.shutdown()
-        thread.join(timeout=JOIN_TIMEOUT)
-        assert not thread.is_alive()
+        _shutdown(sock, thread)
         assert rc_box == [0]
 
     def test_batch_daemon_error_exit_code(self, tmp_path, capsys):
@@ -611,7 +589,7 @@ class TestServeCli:
             daemon=True,
         )
         thread.start()
-        wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+        wait_for_server(sock, timeout=JOIN_TIMEOUT)
         try:
             reqs = tmp_path / "requests.jsonl"
             reqs.write_text(
@@ -629,9 +607,7 @@ class TestServeCli:
             ]
             assert [line["ok"] for line in out_lines] == [True, False]
         finally:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                client.shutdown()
-            thread.join(timeout=JOIN_TIMEOUT)
+            _shutdown(sock, thread)
 
     def test_batch_api_key_against_tenant_enforcing_daemon(
         self, tmp_path, capsys
@@ -650,7 +626,7 @@ class TestServeCli:
             daemon=True,
         )
         thread.start()
-        wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+        wait_for_server(sock, timeout=JOIN_TIMEOUT)
         try:
             reqs = tmp_path / "requests.jsonl"
             reqs.write_text(
@@ -658,16 +634,12 @@ class TestServeCli:
                             "seed": 0}) + "\n",
                 encoding="utf-8",
             )
-            # Keyless: every request answers unauthorized (exit 3, the
-            # per-request-failure code — the transport itself is fine).
+            # Keyless: the batch is refused whole with 401 (a client
+            # error, exit 2).
             rc = main(["batch", str(reqs), "--daemon", sock])
-            assert rc == 3
-            out_lines = [
-                json.loads(line)
-                for line in capsys.readouterr().out.splitlines()
-            ]
-            assert [line["code"] for line in out_lines] == ["unauthorized"]
-            # --api-key stamps the credential into each request doc.
+            assert rc == 2
+            assert "401" in capsys.readouterr().err
+            # --api-key sends the credential as a Bearer header.
             out = tmp_path / "results.jsonl"
             rc = main(["batch", str(reqs), "--daemon", sock,
                        "--api-key", "ak_acme", "--out", str(out)])
@@ -675,9 +647,7 @@ class TestServeCli:
             lines = [json.loads(x) for x in out.read_text().splitlines()]
             assert len(lines) == 1 and lines[0]["ok"]
         finally:
-            with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-                client.shutdown()
-            thread.join(timeout=JOIN_TIMEOUT)
+            _shutdown(sock, thread)
 
     def test_batch_daemon_missing_socket_errors(self, tmp_path, capsys):
         reqs = tmp_path / "requests.jsonl"
@@ -689,16 +659,21 @@ class TestServeCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_serve_validates_flags(self, capsys):
-        assert main(["serve", "--pipe", "--cache-size", "0"]) == 2
+    def test_serve_validates_flags(self, tmp_path, capsys):
+        sock = str(tmp_path / "never.sock")
+        assert main(["serve", "--socket", sock, "--cache-size", "0"]) == 2
         assert "--cache-size" in capsys.readouterr().err
-        assert main(["serve", "--pipe", "--shards", "0"]) == 2
+        assert main(["serve", "--socket", sock, "--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err
-        assert main(["serve", "--pipe", "--max-concurrency", "0"]) == 2
+        assert main(["serve", "--socket", sock, "--max-concurrency", "0"]) == 2
         assert "--max-concurrency" in capsys.readouterr().err
-        assert main(["serve", "--pipe", "--workers", "-1"]) == 2
+        assert main(["serve", "--socket", sock, "--workers", "-1"]) == 2
         assert "--workers" in capsys.readouterr().err
+        assert not os.path.exists(sock)
 
     def test_serve_requires_transport(self):
         with pytest.raises(SystemExit):
             main(["serve"])
+        # There is no stdio transport.
+        with pytest.raises(SystemExit):
+            main(["serve", "--pipe"])

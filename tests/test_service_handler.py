@@ -11,6 +11,7 @@ from repro.service import (
     ERROR_CODES,
     AsyncRoutingService,
     RequestHandler,
+    RequestPipeline,
     render_prometheus,
     transpile_request_from_doc,
 )
@@ -53,8 +54,10 @@ class TestDispatch:
         async def run():
             async with AsyncRoutingService(cache_size=16, max_workers=1) as svc:
                 handler = RequestHandler(svc)
-                bad = await handler.dispatch_line(b"{definitely not json")
-                assert not bad["ok"] and bad["code"] == "bad_json"
+                bad = await RequestPipeline(svc, handler=handler).process_http(
+                    "POST", "/v1/route", "", {}, b"{definitely not json"
+                )
+                assert bad.status == 400 and bad.payload["code"] == "bad_json"
                 unknown = await handler.dispatch({"op": "frobnicate"})
                 assert unknown["code"] == "unknown_op"
                 invalid = await handler.dispatch({"op": "route", "rows": 3})

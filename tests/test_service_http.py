@@ -1,8 +1,8 @@
 """End-to-end tests for the HTTP/JSON front end (repro.service.http).
 
 The server runs on a background thread with its own event loop and is
-exercised through real TCP connections — ``http_request`` (urllib) for
-the JSON surface, raw sockets for protocol-level behaviour (framing
+exercised through real TCP connections — ``http_request`` for the JSON
+surface, raw sockets for protocol-level behaviour (framing
 errors, keep-alive, oversized payloads). Every blocking wait carries an
 explicit timeout so a hung server fails the test instead of wedging the
 suite.
@@ -26,7 +26,7 @@ from repro.service import (
     AsyncRoutingService,
     HttpRoutingServer,
     http_request,
-    wait_for_http,
+    wait_for_server,
 )
 
 JOIN_TIMEOUT = 60.0
@@ -51,7 +51,7 @@ def _start_http(max_body_bytes: int | None = None, **service_kwargs):
             raise RuntimeError("HTTP server did not bind in time")
         time.sleep(0.005)
     base = f"http://127.0.0.1:{server.bound_port}"
-    wait_for_http(base, timeout=JOIN_TIMEOUT)
+    wait_for_server(base, timeout=JOIN_TIMEOUT)
     return server, base, thread
 
 
@@ -341,6 +341,29 @@ class TestProtocol:
         finally:
             _shutdown(base, thread)
 
+    @pytest.mark.parametrize("raw, detail", [
+        # The whole head must fit the stream limit (MAX_HEADER_BYTES).
+        (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 40_000 + b"\r\n\r\n",
+         "exceeds"),
+        # EOF before the blank line that ends the head.
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\n", "truncated"),
+    ], ids=["oversized", "truncated"])
+    def test_oversized_or_truncated_head_is_400(self, raw, detail):
+        server, base, thread = _start_http()
+        try:
+            port = server.bound_port
+            with socket.create_connection(("127.0.0.1", port), JOIN_TIMEOUT) as s:
+                s.settimeout(JOIN_TIMEOUT)
+                s.sendall(raw)
+                s.shutdown(socket.SHUT_WR)
+                status, headers, body = _read_response(s.makefile("rb"))
+            assert status == 400
+            assert headers["connection"] == "close"
+            doc = json.loads(body)
+            assert doc["code"] == "bad_http" and detail in doc["error"]
+        finally:
+            _shutdown(base, thread)
+
     def test_concurrent_clients(self):
         server, base, thread = _start_http()
         try:
@@ -411,7 +434,7 @@ class TestProtocol:
 
     def test_wait_for_http_timeout_message(self):
         with pytest.raises(ReproError, match="no HTTP server answering"):
-            wait_for_http("http://127.0.0.1:1", timeout=0.3)
+            wait_for_server("http://127.0.0.1:1", timeout=0.3)
 
 
 def _free_port() -> int:
@@ -434,7 +457,7 @@ class TestHttpCli:
             daemon=True,
         )
         thread.start()
-        wait_for_http(base, timeout=JOIN_TIMEOUT)
+        wait_for_server(base, timeout=JOIN_TIMEOUT)
 
         reqs = tmp_path / "requests.jsonl"
         reqs.write_text(
@@ -445,14 +468,14 @@ class TestHttpCli:
             encoding="utf-8",
         )
         out = tmp_path / "results.jsonl"
-        rc = main(["batch", str(reqs), "--http", base, "--out", str(out)])
+        rc = main(["batch", str(reqs), "--daemon", base, "--out", str(out)])
         assert rc == 0
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(lines) == 2 and all(line["ok"] for line in lines)
-        assert "via http" in capsys.readouterr().err
+        assert f"via daemon {base}" in capsys.readouterr().err
 
         # Second invocation: warm cache across client invocations.
-        rc = main(["batch", str(reqs), "--http", base, "--out", str(out),
+        rc = main(["batch", str(reqs), "--daemon", base, "--out", str(out),
                    "--stats"])
         assert rc == 0
         lines = [json.loads(line) for line in out.read_text().splitlines()]
@@ -475,7 +498,7 @@ class TestHttpCli:
             daemon=True,
         )
         thread.start()
-        wait_for_http(base, timeout=JOIN_TIMEOUT)
+        wait_for_server(base, timeout=JOIN_TIMEOUT)
         try:
             reqs = tmp_path / "requests.jsonl"
             reqs.write_text(
@@ -485,8 +508,8 @@ class TestHttpCli:
                 + "\n",
                 encoding="utf-8",
             )
-            rc = main(["batch", str(reqs), "--http", base])
-            assert rc == 3  # per-request failure, mirroring --daemon
+            rc = main(["batch", str(reqs), "--daemon", base])
+            assert rc == 3  # per-request failure, mirroring local batch
             out_lines = [
                 json.loads(line)
                 for line in capsys.readouterr().out.splitlines()
@@ -502,19 +525,22 @@ class TestHttpCli:
             json.dumps({"rows": 3, "cols": 3, "workload": "random"}) + "\n",
             encoding="utf-8",
         )
-        rc = main(["batch", str(reqs), "--http", "http://127.0.0.1:1"])
+        rc = main(["batch", str(reqs), "--daemon", "http://127.0.0.1:1"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
     def test_batch_daemon_and_http_are_exclusive(self, tmp_path, capsys):
+        # --daemon takes both address forms, so batch has no --http flag
+        # to combine it with.
         reqs = tmp_path / "requests.jsonl"
         reqs.write_text("{}\n", encoding="utf-8")
-        rc = main([
-            "batch", str(reqs),
-            "--daemon", "/tmp/x.sock", "--http", "http://127.0.0.1:1",
-        ])
-        assert rc == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "batch", str(reqs),
+                "--daemon", "/tmp/x.sock", "--http", "http://127.0.0.1:1",
+            ])
+        assert excinfo.value.code == 2
+        assert "--http" in capsys.readouterr().err
 
     def test_serve_http_validates_address(self, capsys):
         assert main(["serve", "--http", "nope"]) == 2
@@ -527,10 +553,9 @@ class TestTenancyCli:
     """`repro serve --tenants/--max-body` + `repro batch --api-key` e2e."""
 
     def test_serve_flag_validation(self, tmp_path, capsys):
-        # --max-body is an HTTP framing knob; refuse it on the NDJSON
-        # transports rather than silently ignoring it.
+        # --max-body applies to both listen addresses.
         sock = str(tmp_path / "d.sock")
-        assert main(["serve", "--socket", sock, "--max-body", "1024"]) == 2
+        assert main(["serve", "--socket", sock, "--max-body", "0"]) == 2
         assert "--max-body" in capsys.readouterr().err
         assert main(["serve", "--http", "127.0.0.1:0", "--max-body", "0"]) == 2
         assert "--max-body" in capsys.readouterr().err
@@ -568,7 +593,7 @@ class TestTenancyCli:
             daemon=True,
         )
         thread.start()
-        wait_for_http(base, timeout=JOIN_TIMEOUT)
+        wait_for_server(base, timeout=JOIN_TIMEOUT)
         try:
             doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 0}
             # Work ops demand a key once tenancy is enforced...
@@ -608,11 +633,11 @@ class TestTenancyCli:
                 ) + "\n",
                 encoding="utf-8",
             )
-            rc = main(["batch", str(reqs), "--http", base])
+            rc = main(["batch", str(reqs), "--daemon", base])
             assert rc == 2
             assert "401" in capsys.readouterr().err
             out = tmp_path / "results.jsonl"
-            rc = main(["batch", str(reqs), "--http", base,
+            rc = main(["batch", str(reqs), "--daemon", base,
                        "--api-key", "ak_acme", "--out", str(out)])
             assert rc == 0
             lines = [json.loads(x) for x in out.read_text().splitlines()]
@@ -681,7 +706,7 @@ class TestHttpSighupReload:
 
         def driver() -> None:
             try:
-                wait_for_http(base, timeout=JOIN_TIMEOUT)
+                wait_for_server(base, timeout=JOIN_TIMEOUT)
                 status, body = http_request(base + "/v1/topology")
                 assert status == 200 and body["ok"]
                 epoch0 = body["topology"]["epoch"]

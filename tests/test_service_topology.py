@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import http.client
 import json
 import threading
 import time
@@ -30,17 +31,17 @@ from repro.service import (
     AsyncRoutingService,
     ClusterScheduleCache,
     ClusterTopology,
-    DaemonClient,
+    HttpClient,
+    HttpRoutingServer,
     InProcessShardClient,
     RemoteShardClient,
     RequestHandler,
-    RoutingDaemon,
     ScheduleCache,
     TopologyFileWatcher,
     parse_topology_doc,
     render_prometheus,
     request_from_doc,
-    wait_for_socket,
+    wait_for_server,
 )
 
 JOIN_TIMEOUT = 60.0
@@ -486,67 +487,72 @@ class TestRuntimeReconfiguration:
         assert a.cluster_stats.handoff_rounds == 0
 
 
+class _FakeConnection:
+    """A stand-in keep-alive connection whose exchanges are scripted.
+
+    Each outcome is an exception to raise from ``getresponse`` (the
+    peer hung up) or a JSON document to answer with.
+    """
+
+    class _Response:
+        status = 200
+
+        def __init__(self, doc):
+            self._body = json.dumps(doc).encode()
+
+        def read(self):
+            return self._body
+
+    def __init__(self, log, outcome):
+        self._log = log
+        self._outcome = outcome
+
+    def request(self, method, path, body, headers):
+        self._log.append(path)
+
+    def getresponse(self):
+        if isinstance(self._outcome, BaseException):
+            raise self._outcome
+        return self._Response(self._outcome)
+
+    def close(self):
+        pass
+
+
+def _scripted_client(outcomes):
+    """A RemoteShardClient whose successive connections follow ``outcomes``."""
+    client = RemoteShardClient("/tmp/never-dialed.sock")
+    log: list[str] = []
+    pending = iter(outcomes)
+    client._http._open = lambda: _FakeConnection(log, next(pending))
+    return client, log
+
+
 class TestRemoteShardClientReconnect:
     def test_half_open_connection_retries_once(self):
-        client = RemoteShardClient("/tmp/never-dialed.sock")
-
-        class _FlakyDaemon:
-            def __init__(self):
-                self.calls = 0
-
-            def request(self, doc):
-                self.calls += 1
-                if self.calls == 1:
-                    raise DaemonDisconnectedError("idle-closed")
-                return {"ok": True, "op": doc.get("op")}
-
-            def close(self):
-                pass
-
-        flaky = _FlakyDaemon()
-        client._daemon = flaky
+        client, log = _scripted_client([
+            http.client.RemoteDisconnected("idle-closed"),
+            {"ok": True},
+        ])
         assert client.ping() is True  # one transparent retry, no breaker trip
-        assert flaky.calls == 2
+        assert log == ["/healthz", "/healthz"]
 
     def test_topology_update_is_never_retried_on_disconnect(self):
         # The eaten response may mean the update already applied;
         # re-sending it would turn success into a spurious CAS failure.
-        client = RemoteShardClient("/tmp/never-dialed.sock")
-
-        class _OnceDaemon:
-            def __init__(self):
-                self.calls = 0
-
-            def request(self, doc):
-                self.calls += 1
-                raise DaemonDisconnectedError("mid-update")
-
-            def close(self):
-                pass
-
-        once = _OnceDaemon()
-        client._daemon = once
+        client, log = _scripted_client([ConnectionResetError("mid-update")])
         with pytest.raises(DaemonDisconnectedError):
             client.topology_update({"members": ["a"], "epoch": 2})
-        assert once.calls == 1
+        assert log == ["/v1/topology_update"]
 
     def test_double_disconnect_still_fails(self):
-        client = RemoteShardClient("/tmp/never-dialed.sock")
-
-        class _DeadDaemon:
-            calls = 0
-
-            def request(self, doc):
-                type(self).calls += 1
-                raise DaemonDisconnectedError("still dead")
-
-            def close(self):
-                pass
-
-        client._daemon = _DeadDaemon()
+        client, log = _scripted_client([
+            http.client.RemoteDisconnected("still dead"),
+            BrokenPipeError("still dead"),
+        ])
         with pytest.raises(DaemonDisconnectedError):
             client.cache_stats()
-        assert _DeadDaemon.calls == 2
+        assert len(log) == 2
 
 
 # ----------------------------------------------------------------------
@@ -601,25 +607,30 @@ def _start_daemon(tmp_path, name, **service_kwargs):
     service_kwargs.setdefault("max_workers", 1)
     service_kwargs.setdefault("cluster_node_id", sock)
     svc = AsyncRoutingService(**service_kwargs)
-    daemon = RoutingDaemon(svc)
+    server = HttpRoutingServer(svc, path=sock)
     thread = threading.Thread(
-        target=asyncio.run, args=(daemon.serve_unix(sock),), daemon=True
+        target=asyncio.run, args=(server.serve(),), daemon=True
     )
     thread.start()
-    wait_for_socket(sock, timeout=JOIN_TIMEOUT)
+    wait_for_server(sock, timeout=JOIN_TIMEOUT)
     return sock, thread
 
 
 def _shutdown(sock, thread):
-    with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-        assert client.shutdown()
+    with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+        assert client.request("/v1/shutdown", {})[1]["ok"]
     thread.join(timeout=JOIN_TIMEOUT)
     assert not thread.is_alive()
 
 
 def _cluster_stats(sock):
-    with DaemonClient(sock, timeout=JOIN_TIMEOUT) as client:
-        return client.stats()["schedule_cache"]["cluster"]
+    with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+        return client.request("/stats")[1]["stats"]["schedule_cache"]["cluster"]
+
+
+def _route_batch(sock, docs):
+    with HttpClient(sock, timeout=JOIN_TIMEOUT) as client:
+        return client.request("/v1/route_batch", {"requests": docs})[1]["results"]
 
 
 class TestLiveJoinDrill:
@@ -636,8 +647,7 @@ class TestLiveJoinDrill:
                 for s in range(16)
             ]
             digests = [request_from_doc(d).key().digest for d in docs]
-            with DaemonClient(sock_a, timeout=JOIN_TIMEOUT) as ca:
-                assert all(r["ok"] for r in ca.route_batch(docs))
+            assert all(r["ok"] for r in _route_batch(sock_a, docs))
 
             assert main(["topology", "join", sock_b, "--contact", sock_a]) == 0
             out = capsys.readouterr().out
@@ -670,8 +680,7 @@ class TestLiveJoinDrill:
             finally:
                 shard_b.close()
             # And the whole original workload is warm through B.
-            with DaemonClient(sock_b, timeout=JOIN_TIMEOUT) as cb:
-                served = cb.route_batch(docs)
+            served = _route_batch(sock_b, docs)
             assert all(r["ok"] and r["source"] == "cache" for r in served)
 
             # `repro topology show` sees the converged ring.

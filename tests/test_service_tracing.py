@@ -26,11 +26,11 @@ from repro.perm import make_workload
 from repro.routing.base import StageProfiler, profile, stage
 from repro.service import (
     AsyncRoutingService,
-    DaemonClient,
+    HttpClient,
+    HttpRoutingServer,
     JsonFormatter,
     RemoteShardClient,
     RequestHandler,
-    RoutingDaemon,
     Trace,
     TraceBuffer,
     configure_logging,
@@ -41,7 +41,7 @@ from repro.service import (
     record_stage_spans,
     span,
     start_trace,
-    wait_for_socket,
+    wait_for_server,
 )
 
 TIMEOUT = 30.0
@@ -481,20 +481,25 @@ def _start_ring_daemon(sock, peers):
         cluster_node_id=sock,
         cluster_replication=2,
     )
-    daemon = RoutingDaemon(svc)
+    server = HttpRoutingServer(svc, path=sock)
     thread = threading.Thread(
-        target=asyncio.run, args=(daemon.serve_unix(sock),), daemon=True
+        target=asyncio.run, args=(server.serve(),), daemon=True
     )
     thread.start()
-    wait_for_socket(sock, timeout=TIMEOUT)
+    wait_for_server(sock, timeout=TIMEOUT)
     return thread
 
 
 def _shutdown(sock, thread):
-    with DaemonClient(sock, timeout=TIMEOUT) as client:
-        client.shutdown()
+    with HttpClient(sock, timeout=TIMEOUT) as client:
+        client.request("/v1/shutdown", {})
     thread.join(timeout=TIMEOUT)
     assert not thread.is_alive()
+
+
+def _route(sock, doc):
+    with HttpClient(sock, timeout=TIMEOUT) as client:
+        return client.request("/v1/route", doc)[1]
 
 
 class TestCrossDaemonTracing:
@@ -507,13 +512,11 @@ class TestCrossDaemonTracing:
         thread_b = _start_ring_daemon(sock_b, (sock_a,))
         try:
             doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 7}
-            with DaemonClient(sock_a, timeout=TIMEOUT) as ca:
-                warm = ca.route(doc)
-                assert warm["ok"] and warm["source"] == "computed"
-            with DaemonClient(sock_b, timeout=TIMEOUT) as cb:
-                served = cb.route(doc)
-                assert served["ok"] and served["source"] == "cache"
-                trace_id = served["trace_id"]
+            warm = _route(sock_a, doc)
+            assert warm["ok"] and warm["source"] == "computed"
+            served = _route(sock_b, doc)
+            assert served["ok"] and served["source"] == "cache"
+            trace_id = served["trace_id"]
 
             client_a = RemoteShardClient(sock_a, timeout=TIMEOUT)
             client_b = RemoteShardClient(sock_b, timeout=TIMEOUT)
@@ -551,11 +554,8 @@ class TestCrossDaemonTracing:
         thread_b = _start_ring_daemon(sock_b, (sock_a,))
         try:
             doc = {"rows": 4, "cols": 4, "workload": "random", "seed": 9}
-            with DaemonClient(sock_a, timeout=TIMEOUT) as ca:
-                assert ca.route(doc)["ok"]
-            with DaemonClient(sock_b, timeout=TIMEOUT) as cb:
-                served = cb.route(doc)
-                trace_id = served["trace_id"]
+            assert _route(sock_a, doc)["ok"]
+            trace_id = _route(sock_b, doc)["trace_id"]
             rc = main(["trace", sock_a, sock_b, "--id", trace_id])
             out = capsys.readouterr().out
             assert rc == 0
