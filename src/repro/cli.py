@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_backends(),
         default=None,
         help="kernel backend for the routing math (default: "
-        "REPRO_KERNEL_BACKEND or auto-detection; identical schedules "
+        "REPRO_KERNEL_BACKEND, else numpy; identical schedules "
         "either way)",
     )
     p_route.add_argument(
@@ -251,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="default kernel backend for computed routes (per-request "
         "'backend' options override; never splits the cache)",
-    )
-    p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=8,
-        help="schedule-cache shard count (1 = unsharded)",
     )
     p_serve.add_argument(
         "--min-cache-seconds",
@@ -837,7 +831,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import (
         AsyncRoutingService,
         ClusterTopology,
-        CostThresholdAdmission,
         HttpRoutingServer,
         TopologyFileWatcher,
         configure_logging,
@@ -853,8 +846,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError(f"--trace-slow must be >= 0, got {args.trace_slow}")
     if args.workers is not None and args.workers < 0:
         raise ReproError(f"--workers must be >= 0, got {args.workers}")
-    if args.shards <= 0:
-        raise ReproError(f"--shards must be positive, got {args.shards}")
+    if not args.min_cache_seconds >= 0:
+        raise ReproError(
+            f"--min-cache-seconds must be >= 0, got {args.min_cache_seconds}"
+        )
     if args.max_concurrency <= 0:
         raise ReproError(
             f"--max-concurrency must be positive, got {args.max_concurrency}"
@@ -893,11 +888,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     log = get_logger("repro.service.cli")
 
     http_addr = _parse_host_port(args.http) if args.http else None
-    admission = (
-        CostThresholdAdmission(min_seconds=args.min_cache_seconds)
-        if args.min_cache_seconds > 0
-        else None
-    )
     # A shard sits on the ring under the address its peers dial;
     # default to this daemon's own listen address. Any daemon is
     # therefore joinable at runtime (`repro topology join`) even when
@@ -932,8 +922,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_timeout=args.timeout,
         cache_size=args.cache_size,
         cache_dir=args.cache_dir,
-        cache_shards=args.shards,
-        cache_admission=admission,
+        cache_min_seconds=args.min_cache_seconds,
         max_workers=args.workers,
         kernel_backend=args.backend,
         verify=args.verify,

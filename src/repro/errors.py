@@ -47,11 +47,8 @@ class MatchingError(ReproError):
 class KernelError(ReproError):
     """A kernel backend could not be resolved or failed an invariant.
 
-    Raised by :func:`repro.kernels.get_backend` for unknown backend names
-    and for explicitly requested backends whose dependency (numpy) is not
-    importable. Ambient resolution — the ``REPRO_KERNEL_BACKEND``
-    environment variable or the automatic default — never raises for a
-    missing numpy; it falls back to the pure-Python reference backend.
+    Raised by :func:`repro.kernels.get_backend` for unknown backend
+    names, whether passed explicitly or set in ``REPRO_KERNEL_BACKEND``.
     """
 
 

@@ -13,7 +13,7 @@ Vectorization strategy per kernel:
   roots' writes, so the committed matching is byte-identical to running
   the reference DFS root by root. Deferred roots re-run against the
   updated state; small phases and collapsed batches fall back to the
-  exact sequential DFS (also selectable via ``REPRO_HK_BATCH=0``).
+  exact sequential DFS (:func:`_augment_roots`).
 * **Matching peel** — the best-token-per-column-pair reduction becomes a
   single ``lexsort`` by ``(pair, cost, token)``; the reference dict's
   insertion order (first occurrence of a pair in ascending token order)
@@ -59,7 +59,6 @@ phase the DFS stack always holds one vertex per depth and
 
 from __future__ import annotations
 
-import os
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -96,18 +95,6 @@ _MIN_LOCKSTEP = 3
 #: toward the observed conflict horizon otherwise) so contended phases
 #: stop wasting speculative work that cannot commit.
 _INIT_WINDOW = 128
-
-#: Environment switch: ``0``/``false`` disables the batched augmentation
-#: (sequential reference-order DFS, the pre-batching behaviour). The
-#: results are identical either way; this is a rollback/benchmark lever.
-_BATCH_ENV = "REPRO_HK_BATCH"
-
-
-def _batch_enabled() -> bool:
-    """Whether the frontier-batched augmentation pass is enabled."""
-    flag = os.environ.get(_BATCH_ENV, "1").strip().lower()
-    return flag not in {"0", "false", "off", "no"}
-
 
 def _bfs_layers(
     n_left: int,
@@ -146,47 +133,6 @@ def _bfs_layers(
         dist[cand] = d
         fmask = np.zeros(n_left, dtype=bool)
         fmask[cand] = True
-    return dist, found
-
-
-def _bfs_layers_pr7(
-    n_left: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    match_l: np.ndarray,
-    match_r: np.ndarray,
-) -> tuple[np.ndarray, bool]:
-    """The PR-7 BFS layering, preserved verbatim for ``REPRO_HK_BATCH=0``.
-
-    The rollback path must reproduce the pre-batching backend exactly —
-    including its performance profile — so it keeps the original
-    frontier-gather formulation rather than sharing :func:`_bfs_layers`.
-    Results are identical; only the constant factors differ.
-    """
-    unreached = n_left + 1
-    dist = np.full(n_left, unreached, dtype=np.int64)
-    frontier = np.flatnonzero(match_l == -1)
-    dist[frontier] = 0
-    found = False
-    d = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        ends = np.cumsum(counts)
-        flat = np.arange(total) + np.repeat(starts - (ends - counts), counts)
-        ws = match_r[indices[flat]]
-        if not found and bool((ws == -1).any()):
-            found = True
-        cand = ws[ws >= 0]
-        cand = cand[dist[cand] == unreached]
-        if cand.size == 0:
-            break
-        d += 1
-        dist[cand] = d
-        frontier = np.unique(cand)
     return dist, found
 
 
@@ -570,21 +516,27 @@ def _augment_pass(
     return k, n_aug
 
 
-def _hk_csr_batched(
+def _hk_csr(
     n_left: int,
     n_right: int,
     adj: Sequence[Sequence[int]],
     indptr: np.ndarray,
     indices: np.ndarray,
 ) -> tuple[list[int], list[int], int]:
-    """Hopcroft–Karp with the frontier-batched augmentation pass.
+    """Hopcroft–Karp over a CSR adjacency (with list mirror for the DFS).
 
-    Phase 1 is the exact greedy special case (:func:`_greedy_phase`);
-    later phases run the speculative lock-step batch over the filtered
-    level graph with an adaptive window, degrading to the sequential
-    filtered DFS when commits collapse. Every path is byte-identical to
-    the reference; only the work schedule differs.
+    Small graphs (fewer than ``_SMALL_E`` edges) run the reference
+    implementation. Otherwise phase 1 is the exact greedy special case
+    (:func:`_greedy_phase`); later phases run the speculative lock-step
+    batch over the filtered level graph with an adaptive window,
+    degrading to the sequential filtered DFS when commits collapse.
+    Every path is byte-identical to the reference; only the work
+    schedule differs.
     """
+    if indices.size < _SMALL_E:
+        from ..matching.hopcroft_karp import hopcroft_karp
+
+        return hopcroft_karp(n_left, n_right, adj)
     unreached = n_left + 1
     ml = [-1] * n_left
     mr = [-1] * n_right
@@ -667,41 +619,6 @@ def _hk_csr_batched(
                 ml = ml_arr.tolist()
                 mr = mr_arr.tolist()
     return ml, mr, size
-
-
-def _hk_csr(
-    n_left: int,
-    n_right: int,
-    adj: Sequence[Sequence[int]],
-    indptr: np.ndarray,
-    indices: np.ndarray,
-) -> tuple[list[int], list[int], int]:
-    """Hopcroft–Karp over a CSR adjacency (with list mirror for the DFS)."""
-    if indices.size < _SMALL_E:
-        from ..matching.hopcroft_karp import hopcroft_karp
-
-        return hopcroft_karp(n_left, n_right, adj)
-    if _batch_enabled():
-        return _hk_csr_batched(n_left, n_right, adj, indptr, indices)
-    unreached = n_left + 1
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    size = 0
-    with stage("matching"):
-        while True:
-            dist_arr, found = _bfs_layers_pr7(
-                n_left,
-                indptr,
-                indices,
-                np.asarray(match_l, dtype=np.int64),
-                np.asarray(match_r, dtype=np.int64),
-            )
-            if not found:
-                break
-            size += _augment_roots(
-                range(n_left), adj, dist_arr.tolist(), match_l, match_r, unreached
-            )
-    return match_l, match_r, size
 
 
 def _split_adj(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:

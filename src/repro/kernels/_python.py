@@ -8,8 +8,8 @@ test suite, so any behavioral change here is a semantic change for every
 backend.
 
 Array arguments are converted to plain lists at the boundary; all inner
-loops are numpy-free. This is also the fallback that serves when numpy
-is not importable (see :func:`repro.kernels.get_backend`).
+loops are numpy-free. Select it with ``backend="python"`` or
+``REPRO_KERNEL_BACKEND=python`` (see :func:`repro.kernels.get_backend`).
 """
 
 from __future__ import annotations

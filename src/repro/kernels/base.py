@@ -6,15 +6,14 @@ token displacement accounting and swap-schedule assembly — behind one
 interface so the same routers can run on interchangeable implementations:
 
 * ``python`` — the reference kernels, pure Python (plus the pre-existing
-  reference modules they delegate to). Always available; this is the
-  semantic ground truth the equivalence test suite pins the others to.
+  reference modules they delegate to). This is the semantic ground
+  truth the equivalence test suite pins the others to.
 * ``numpy`` — vectorized kernels (batched BFS layering, frontier-batched
   Hopcroft–Karp augmentation that advances every augmenting path one
   level per array pass, array reductions, fancy-indexed schedule
-  assembly). Selected by default when numpy is importable. The batched
-  augmentation engages adaptively (dense, many-root phases) and can be
-  disabled wholesale with ``REPRO_HK_BATCH=0``, which restores the
-  sequential per-root DFS exactly.
+  assembly). The default backend; numpy is a hard dependency. The
+  batched augmentation engages adaptively (dense, many-root phases)
+  and falls back to the sequential per-root DFS elsewhere.
 
 **Equivalence contract.** Every backend must produce *identical* outputs
 for identical inputs — not merely valid ones. Routers interleave kernel
@@ -25,12 +24,13 @@ schedules across backends for every router with a vectorized path.
 
 Resolution order for :func:`get_backend`:
 
-1. an explicit argument (a backend instance or name — unknown names and
-   an explicitly requested ``numpy`` without numpy installed raise
-   :class:`~repro.errors.KernelError`);
-2. the ``REPRO_KERNEL_BACKEND`` environment variable (``numpy`` without
-   numpy installed falls back to ``python``);
-3. ``numpy`` when importable, else ``python``.
+1. an explicit argument (a backend instance or name);
+2. the ``REPRO_KERNEL_BACKEND`` environment variable;
+3. ``numpy``.
+
+An unknown name, from either source, raises
+:class:`~repro.errors.KernelError`. ``REPRO_KERNEL_BACKEND`` is the only
+environment variable the package reads.
 """
 
 from __future__ import annotations
@@ -221,8 +221,7 @@ def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
     """Register a backend factory under ``name``.
 
     The factory is called lazily on first resolution and may raise
-    :class:`~repro.errors.KernelError` when its dependencies are absent
-    (that is how the ``numpy`` entry reports an uninstalled numpy).
+    :class:`~repro.errors.KernelError` when its dependencies are absent.
     """
     if name in _FACTORIES:
         raise KernelError(f"kernel backend {name!r} already registered")
@@ -252,10 +251,8 @@ def _python_factory() -> KernelBackend:
 
 
 def _numpy_factory() -> KernelBackend:
-    try:
-        from ._numpy import NumpyKernelBackend
-    except ImportError as exc:
-        raise KernelError(f"numpy kernel backend unavailable: {exc}") from exc
+    from ._numpy import NumpyKernelBackend
+
     return NumpyKernelBackend()
 
 
@@ -273,34 +270,19 @@ def get_backend(spec: "KernelBackend | str | None" = None) -> KernelBackend:
     ----------
     spec:
         A :class:`KernelBackend` (returned as-is), a registered name, or
-        ``None`` for the ambient default (``REPRO_KERNEL_BACKEND``, then
-        numpy-if-importable, then python).
+        ``None`` for the ambient default (``REPRO_KERNEL_BACKEND``, else
+        ``numpy``).
 
     Raises
     ------
     KernelError
-        For an unknown name, or an *explicitly* requested ``numpy``
-        backend when numpy is not importable. Ambient resolution falls
-        back to ``python`` instead of raising.
+        For an unknown name, whether passed or set in the environment.
     """
     if isinstance(spec, KernelBackend):
         return spec
     if spec is not None:
         return _load(str(spec))
-    env = os.environ.get(ENV_VAR, "").strip()
-    if env:
-        try:
-            return _load(env)
-        except KernelError:
-            if env == "numpy":
-                # Documented fallback: env-configured numpy without numpy
-                # installed degrades to the reference backend.
-                return _load("python")
-            raise
-    try:
-        return _load("numpy")
-    except KernelError:
-        return _load("python")
+    return _load(os.environ.get(ENV_VAR, "").strip() or "numpy")
 
 
 def default_backend_name() -> str:

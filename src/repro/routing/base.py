@@ -87,7 +87,7 @@ class Router(ABC):
         Raises
         ------
         KernelError
-            On an unknown backend name, or ``"numpy"`` without numpy.
+            On an unknown backend name.
         """
         self._backend = None if spec is None else get_backend(spec)
 
@@ -231,7 +231,7 @@ def make_router(
     backend:
         Optional kernel backend (name or instance) to pin the router to;
         by default the router follows the ambient default
-        (``REPRO_KERNEL_BACKEND``, then numpy-if-importable).
+        (``REPRO_KERNEL_BACKEND``, else numpy).
     **kwargs:
         Forwarded to the router factory.
 
@@ -242,7 +242,7 @@ def make_router(
         raw ``TypeError`` is wrapped, naming the router and the bad
         argument).
     KernelError
-        On an unknown backend name, or ``backend="numpy"`` without numpy.
+        On an unknown backend name.
     """
     try:
         registration = _REGISTRY[name]

@@ -41,7 +41,6 @@ that into a miss.
 from __future__ import annotations
 
 import json
-import os
 import struct
 
 import numpy as np
@@ -54,7 +53,6 @@ __all__ = [
     "MAGIC",
     "encode_schedule",
     "decode_schedule",
-    "negotiated_version",
 ]
 
 #: Binary format version (bumped on any layout change; the version byte
@@ -64,31 +62,6 @@ CODEC_VERSION = 1
 
 #: Frame magic: ``b"reproSC"`` + the one-byte format version.
 MAGIC = b"reproSC" + bytes([CODEC_VERSION])
-
-#: Environment rollback lever: ``REPRO_CODEC=0`` makes this process
-#: speak the pre-codec wire dialect (no binary advertisement, JSON
-#: payloads, binary ``cache_put`` frames refused) without a downgrade.
-_CODEC_ENV = "REPRO_CODEC"
-
-
-def negotiated_version() -> int:
-    """The codec version this process advertises, serves and accepts.
-
-    Defaults to :data:`CODEC_VERSION`. ``REPRO_CODEC`` clamps it — ``0``
-    forces the JSON-only wire dialect, which makes a daemon
-    indistinguishable from a pre-codec build to its peers (the
-    operational rollback lever when a ring is mid-upgrade and a binary
-    incompatibility is suspected). Values above :data:`CODEC_VERSION`
-    or garbage are ignored.
-    """
-    raw = os.environ.get(_CODEC_ENV, "").strip()
-    if raw:
-        try:
-            return min(max(int(raw), 0), CODEC_VERSION)
-        except ValueError:
-            pass
-    return CODEC_VERSION
-
 
 _HEADER = struct.Struct("<8sqqqq")  # magic, n_vertices, n_layers, n_swaps, meta_len
 _I64 = np.dtype("<i8")

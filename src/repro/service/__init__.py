@@ -2,10 +2,9 @@
 
 The modules compose bottom-up — :mod:`~repro.service.keys` (canonical
 request fingerprints), :mod:`~repro.service.cache` (tiered LRU schedule
-cache), :mod:`~repro.service.sharding` (sharded, admission-controlled
-cache), :mod:`~repro.service.telemetry` (counters and latency
-histograms), :mod:`~repro.service.executor` (dedup + cache + process
-pool) — and :mod:`~repro.service.service` ties them into the
+cache with cost-threshold admission), :mod:`~repro.service.telemetry`
+(counters and latency histograms), :mod:`~repro.service.executor`
+(dedup + cache + process pool) — and :mod:`~repro.service.service` ties them into the
 :class:`RoutingService` facade that the CLI's ``batch`` subcommand and
 the benchmarks drive. On top of the facade sit the always-on front
 ends: :mod:`~repro.service.aio` (:class:`AsyncRoutingService`, bounded
@@ -120,13 +119,6 @@ from .tenancy import (
     load_tenants_file,
     parse_tenants_doc,
 )
-from .sharding import (
-    AdmissionPolicy,
-    CostThresholdAdmission,
-    ShardedScheduleCache,
-    admit_all,
-    shard_index,
-)
 from .keys import (
     RequestKey,
     graph_fingerprint,
@@ -169,11 +161,6 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "ScheduleCache",
-    "AdmissionPolicy",
-    "CostThresholdAdmission",
-    "ShardedScheduleCache",
-    "admit_all",
-    "shard_index",
     "HashRing",
     "ClusterTopology",
     "TopologyView",

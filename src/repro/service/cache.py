@@ -7,18 +7,16 @@ Two tiers:
   transpile outcomes (which hold circuit objects).
 * :class:`ScheduleCache` — an :class:`LRUCache` of
   :class:`~repro.routing.schedule.Schedule` values with an optional
-  persistent on-disk tier. Disk entries are binary
-  :mod:`repro.routing.codec` frames (``<digest>.rsc``), one file per
-  digest, so a warm cache survives process restarts and can be shipped
-  between machines. Caches written before the binary format
-  (``<digest>.json`` holding a :mod:`repro.routing.serialize` document)
-  are still read — a binary miss falls back to the JSON file, and the
-  next ``put`` of that digest rewrites it in the new format.
+  persistent on-disk tier and a cost-threshold admission rule. Disk
+  entries are binary :mod:`repro.routing.codec` frames, one flat
+  ``<disk_dir>/<digest>.rsc`` file per digest, so a warm cache
+  survives process restarts and can be shipped between machines.
 
-Concurrency notes: all state is guarded by one ``RLock`` per cache.
-Disk writes go through a temp-file + ``os.replace`` so a crashed writer
-never leaves a truncated entry; corrupt or unreadable disk entries are
-treated as misses (and deleted) rather than raised.
+Concurrency notes: all state is guarded by one ``RLock`` per cache,
+and disk I/O runs outside it, so a slow disk read never blocks memory
+hits. Disk writes go through a temp-file + ``os.replace`` so a crashed
+writer never leaves a truncated entry; corrupt or unreadable disk
+entries are treated as misses (and deleted) rather than raised.
 """
 
 from __future__ import annotations
@@ -26,14 +24,13 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import ScheduleError
 from ..routing.codec import decode_schedule, encode_schedule
 from ..routing.schedule import Schedule
-from ..routing.serialize import schedule_from_json
 
 __all__ = ["CacheStats", "LRUCache", "ScheduleCache"]
 
@@ -102,8 +99,7 @@ class LRUCache:
         """Insert/refresh an entry, evicting the LRU tail if over capacity.
 
         ``cost`` (seconds spent computing the value) is an admission
-        hint: ignored here, consulted by admission-controlled caches
-        such as :class:`~repro.service.sharding.ShardedScheduleCache`.
+        hint: ignored here, consulted by :class:`ScheduleCache`.
         Accepted everywhere so callers can pass it unconditionally.
         """
         with self._lock:
@@ -146,9 +142,9 @@ class LRUCache:
     def as_dict(self) -> dict[str, Any]:
         """Counters plus capacity and occupancy, JSON-ready.
 
-        The one stats-document shape every cache flavour extends
-        (sharded caches add per-shard breakdowns, cluster caches a
-        ``cluster`` section), so the service stats, the peer
+        The one stats-document shape every cache flavour extends (the
+        schedule cache adds its disk and admission fields, the cluster
+        cache a ``cluster`` section), so the service stats, the peer
         ``cache_stats`` op and telemetry all agree on the base fields.
         """
         return {
@@ -168,16 +164,40 @@ class ScheduleCache(LRUCache):
     disk_dir:
         Directory for the persistent tier (created on demand). ``None``
         disables persistence. Each entry is ``<digest>.rsc`` holding a
-        binary :func:`~repro.routing.codec.encode_schedule` frame;
-        legacy ``<digest>.json`` documents from pre-binary caches are
-        read as a fallback.
+        binary :func:`~repro.routing.codec.encode_schedule` frame.
+    min_cost_seconds:
+        Admission threshold: a ``put`` whose known compute cost is
+        below it is skipped (recomputing such a schedule is cheaper
+        than the entry it would evict) and counted in
+        :attr:`rejected_puts`. A ``put`` with unknown cost is admitted.
+
+    >>> from repro.graphs import GridGraph
+    >>> from repro.perm import random_permutation
+    >>> from repro.routing import route
+    >>> grid = GridGraph(3, 3)
+    >>> sched = route(grid, random_permutation(grid, seed=0))
+    >>> cache = ScheduleCache(maxsize=8, min_cost_seconds=1e-3)
+    >>> cache.put("cheap", sched, cost=1e-6)
+    >>> cache.put("unknown", sched)
+    >>> ("cheap" in cache, "unknown" in cache, cache.rejected_puts)
+    (False, True, 1)
     """
 
     def __init__(
-        self, maxsize: int = 4096, disk_dir: str | os.PathLike | None = None
+        self,
+        maxsize: int = 4096,
+        disk_dir: str | os.PathLike | None = None,
+        min_cost_seconds: float = 0.0,
     ) -> None:
         super().__init__(maxsize)
+        if not min_cost_seconds >= 0:
+            raise ValueError(
+                f"min_cost_seconds must be >= 0, got {min_cost_seconds}"
+            )
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
+        self.min_cost_seconds = float(min_cost_seconds)
+        #: Puts skipped by the admission threshold (counted under the lock).
+        self.rejected_puts = 0
 
     # ------------------------------------------------------------------
     # disk tier
@@ -186,11 +206,6 @@ class ScheduleCache(LRUCache):
         assert self.disk_dir is not None
         return self.disk_dir / f"{digest}.rsc"
 
-    def _disk_path_json(self, digest: str) -> Path:
-        """The pre-binary-format location (read-fallback only)."""
-        assert self.disk_dir is not None
-        return self.disk_dir / f"{digest}.json"
-
     def _disk_load(self, digest: str) -> Schedule | None:
         if self.disk_dir is None:
             return None
@@ -198,23 +213,10 @@ class ScheduleCache(LRUCache):
         try:
             data = path.read_bytes()
         except OSError:
-            return self._disk_load_json(digest)
+            return None
         try:
             return decode_schedule(data)
         except ScheduleError:
-            self._drop_corrupt(path)
-            return None
-
-    def _disk_load_json(self, digest: str) -> Schedule | None:
-        """Read-fallback for entries written before the binary format."""
-        path = self._disk_path_json(digest)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            return schedule_from_json(data.decode("utf-8"))
-        except (UnicodeDecodeError, ScheduleError):
             self._drop_corrupt(path)
             return None
 
@@ -274,7 +276,11 @@ class ScheduleCache(LRUCache):
         return schedule
 
     def put(self, digest: str, schedule: Schedule, cost: float | None = None) -> None:
-        """Store in memory and (if configured) on disk."""
+        """Store in memory and (if configured) on disk, unless too cheap."""
+        if cost is not None and cost < self.min_cost_seconds:
+            with self._lock:
+                self.rejected_puts += 1
+            return
         super().put(digest, schedule, cost=cost)
         self._disk_store(digest, schedule)
 
@@ -286,17 +292,17 @@ class ScheduleCache(LRUCache):
         """
         dropped = super().discard(digest)
         if self.disk_dir is not None:
-            for path in (self._disk_path(digest), self._disk_path_json(digest)):
-                try:
-                    path.unlink()
-                    dropped = True
-                except OSError:
-                    pass
+            try:
+                self._disk_path(digest).unlink()
+                dropped = True
+            except OSError:
+                pass
         return dropped
 
     def as_dict(self) -> dict[str, Any]:
-        """The LRU rollup plus the disk-tier location."""
+        """The LRU rollup plus the disk-tier location and admission count."""
         return {
             **super().as_dict(),
+            "rejected_puts": self.rejected_puts,
             "disk_dir": str(self.disk_dir) if self.disk_dir else None,
         }

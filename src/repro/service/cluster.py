@@ -1,8 +1,7 @@
 """Multi-host cache sharding: consistent hashing + remote-shard protocol.
 
-:class:`~repro.service.sharding.ShardedScheduleCache` partitions one
-*process's* cache; this module partitions the cache across *daemons*.
-Routing results are pure functions of the canonical request fingerprint
+This module partitions the schedule cache across *daemons*. Routing
+results are pure functions of the canonical request fingerprint
 (:mod:`repro.service.keys`), so any daemon that has computed a schedule
 can serve it to every other daemon — the way tket-style routers
 amortize repeated passes over circuit families — as long as all of them
@@ -30,12 +29,8 @@ Four pieces provide that agreement:
   :class:`~repro.service.handler.RequestHandler` exposes as HTTP
   endpoints, over one keep-alive connection to a daemon on TCP
   (address = ``http://host:port``) or a UNIX socket (address = the
-  socket path). Schedules ship
-  as base64-wrapped binary :mod:`repro.routing.codec` frames when the
-  peer advertises the capability (learned from the ``codec`` field its
-  responses echo), falling back to the :mod:`repro.routing.serialize`
-  JSON documents for pre-codec daemons — so mixed-version rings keep
-  interoperating during a rolling upgrade.
+  socket path). Schedules ship as base64-wrapped binary
+  :mod:`repro.routing.codec` frames in both directions.
 * :class:`ClusterScheduleCache` — the ``ScheduleCache`` drop-in that
   the service layer actually holds. ``get`` probes the local tier
   first, then the key's remote owners in ring order; ``put`` writes
@@ -79,12 +74,10 @@ from ..errors import (
     ReproError,
     StaleEpochError,
 )
-from ..routing.codec import decode_schedule, encode_schedule, negotiated_version
+from ..routing.codec import decode_schedule, encode_schedule
 from ..routing.schedule import Schedule
-from ..routing.serialize import schedule_from_json, schedule_to_json
 from .cache import CacheStats, ScheduleCache
 from .logging import get_logger
-from .sharding import ShardedScheduleCache
 from .tracing import current_traceparent, span
 
 __all__ = [
@@ -778,12 +771,6 @@ class RemoteShardClient:
         self._http = HttpClient(address, timeout=timeout)
         self.address = address
         self.timeout = self._http.timeout
-        # The peer's schedule-codec capability: ``None`` until the first
-        # cache response teaches us (every response echoes ``codec``),
-        # ``0`` for a pre-codec daemon (JSON documents only), ``>= 1``
-        # for binary frames. Unknown peers are sent JSON — correct
-        # against any version — and upgrade after one round trip.
-        self._peer_codec: int | None = None
 
     # ------------------------------------------------------------------
     # transport
@@ -830,44 +817,26 @@ class RemoteShardClient:
         except ReproError:
             return False
 
-    def _learn_codec(self, resp: Mapping[str, Any]) -> None:
-        """Record the peer's codec capability from a response echo."""
-        codec = resp.get("codec")
-        if isinstance(codec, int) and codec >= 0:
-            self._peer_codec = min(codec, negotiated_version())
-        elif self._peer_codec is None:
-            self._peer_codec = 0  # pre-codec daemons never echo the field
-
     def cache_get(self, digest: str) -> Schedule | None:
         """Fetch ``digest`` from the shard's **local** cache tier.
-
-        The request advertises our codec version; a codec-aware peer
-        answers with a binary ``schedule_b64`` frame, a pre-codec peer
-        ignores the advert and answers the JSON document — both decode
-        here.
 
         Returns
         -------
         Schedule | None
-            The deserialized schedule, or ``None`` when the shard does
-            not hold the key.
+            The decoded schedule, or ``None`` when the shard does not
+            hold the key.
 
         Raises
         ------
         ClusterShardError
             On transport failure or a refused/malformed response.
         """
-        resp = self._checked(
-            "cache_get", {"digest": digest, "codec": negotiated_version()}
-        )
-        self._learn_codec(resp)
+        resp = self._checked("cache_get", {"digest": digest})
         if not resp.get("found"):
             return None
-        frame_b64 = resp.get("schedule_b64")
         try:
-            if frame_b64 is not None:
-                return decode_schedule(base64.b64decode(frame_b64, validate=True))
-            return schedule_from_json(json.dumps(resp["schedule"]))
+            frame = base64.b64decode(resp["schedule_b64"], validate=True)
+            return decode_schedule(frame)
         except (KeyError, TypeError, binascii.Error, ReproError) as exc:
             raise ClusterShardError(
                 f"shard {self.address} returned a malformed schedule "
@@ -877,44 +846,24 @@ class RemoteShardClient:
     def cache_put(
         self, digest: str, schedule: Schedule, cost: float | None = None
     ) -> bool:
-        """Replicate a schedule onto the shard.
-
-        Ships the binary frame once the peer's codec capability is
-        known (learned from any previous cache response), JSON
-        otherwise. If a binary put is refused as ``bad_request`` — the
-        peer was downgraded to a pre-codec build between requests — the
-        client downgrades the capability and resends the entry as JSON
-        once, so a rolling rollback costs one extra round trip instead
-        of an error.
+        """Replicate a schedule onto the shard as a binary frame.
 
         Returns ``True`` when the shard accepted the entry (its local
-        admission policy may still reject it silently).
+        admission threshold may still skip it silently).
 
         Raises
         ------
         ClusterShardError
             On transport failure or a refused response.
         """
-        doc: dict[str, Any] = {"digest": digest, "codec": negotiated_version()}
+        frame = encode_schedule(schedule)
+        doc: dict[str, Any] = {
+            "digest": digest,
+            "schedule_b64": base64.b64encode(frame).decode("ascii"),
+        }
         if cost is not None:
             doc["cost"] = float(cost)
-        if min(self._peer_codec or 0, negotiated_version()) >= 1:
-            frame = encode_schedule(schedule)
-            doc["schedule_b64"] = base64.b64encode(frame).decode("ascii")
-            try:
-                resp = self._checked("cache_put", doc)
-            except ClusterShardError as exc:
-                if "bad_request" not in str(exc):
-                    raise
-                self._peer_codec = 0
-                del doc["schedule_b64"]
-                doc["schedule"] = json.loads(schedule_to_json(schedule))
-                resp = self._checked("cache_put", doc)
-        else:
-            doc["schedule"] = json.loads(schedule_to_json(schedule))
-            resp = self._checked("cache_put", doc)
-        self._learn_codec(resp)
-        return bool(resp.get("stored"))
+        return bool(self._checked("cache_put", doc).get("stored"))
 
     def cache_stats(self) -> dict[str, Any]:
         """The shard's local cache-stats document.
@@ -1036,8 +985,7 @@ class InProcessShardClient:
     Lets tests and :mod:`examples.cluster_demo` build a multi-node ring
     without sockets: each "node" is just another cache instance. Pass
     the *local tier* of the other node (a
-    :class:`~repro.service.cache.ScheduleCache` or
-    :class:`~repro.service.sharding.ShardedScheduleCache`); passing a
+    :class:`~repro.service.cache.ScheduleCache`); passing a
     :class:`ClusterScheduleCache` automatically unwraps to its local
     tier so two nodes pointing at each other can never recurse.
     """
@@ -1191,8 +1139,8 @@ class ClusterScheduleCache:
     Parameters
     ----------
     local:
-        The local cache tier (:class:`~repro.service.cache.ScheduleCache`
-        or :class:`~repro.service.sharding.ShardedScheduleCache`).
+        The local cache tier (a
+        :class:`~repro.service.cache.ScheduleCache`).
     peers:
         Optional mapping of node id -> pre-wired :class:`ShardClient`
         (in-process rings, tests). When no ``topology`` is passed,
@@ -1242,7 +1190,7 @@ class ClusterScheduleCache:
 
     def __init__(
         self,
-        local: ScheduleCache | ShardedScheduleCache,
+        local: ScheduleCache,
         peers: Mapping[str, ShardClient] | None = None,
         node_id: str | None = None,
         replication: int = 2,
@@ -1833,7 +1781,7 @@ class ClusterScheduleCache:
     def as_dict(self) -> dict[str, Any]:
         """Local-tier stats plus the ``cluster`` section, JSON-ready.
 
-        The shape extends the sharded cache's ``as_dict``: callers (the
+        The shape extends the local cache's ``as_dict``: callers (the
         stats document, Prometheus rendering) read the usual cache
         counters at the top level and cluster telemetry under
         ``"cluster"``. Involves no network I/O — peer stats are their

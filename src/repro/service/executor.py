@@ -51,7 +51,6 @@ from ..routing.schedule import Schedule
 from .cache import ScheduleCache
 from .cluster import ClusterScheduleCache
 from .keys import RequestKey, graph_from_spec, graph_spec, request_key
-from .sharding import ShardedScheduleCache
 from .telemetry import Telemetry
 
 __all__ = [
@@ -204,14 +203,14 @@ class BatchExecutor:
     kernel_backend:
         Default kernel-backend spec (name, see :mod:`repro.kernels`)
         applied to computed routes. ``None`` uses the ambient default
-        (``REPRO_KERNEL_BACKEND`` or auto-detection); a per-request
+        (``REPRO_KERNEL_BACKEND``, else numpy); a per-request
         ``backend`` option overrides it. Backend choice never affects
         cache keys — all backends produce identical schedules.
     """
 
     def __init__(
         self,
-        cache: ScheduleCache | ShardedScheduleCache | ClusterScheduleCache | None = None,
+        cache: ScheduleCache | ClusterScheduleCache | None = None,
         max_workers: int | None = 1,
         telemetry: Telemetry | None = None,
         verify: bool = False,

@@ -43,13 +43,9 @@ protocol** (``cache_get`` / ``cache_put`` / ``cache_stats``) that
 :mod:`repro.service.cluster` peers speak. These ops always address the
 *local* cache tier — a daemon answering a peer never fans the probe
 back out to the cluster, which is what makes the ring recursion-free.
-Schedules cross this protocol in one of two encodings, negotiated per
-request: the legacy ``schedule`` JSON document, or — when the caller
-advertises ``"codec": 1`` — a base64-wrapped binary
-:mod:`repro.routing.codec` frame under ``schedule_b64``. Responses echo
-``"codec": 1`` so clients learn the capability and upgrade their next
-``cache_put``; daemons predating the codec ignore the advert and keep
-speaking JSON, which is what lets mixed-version rings interoperate.
+Schedules cross this protocol in one encoding: a base64-wrapped binary
+:mod:`repro.routing.codec` frame under ``schedule_b64``, re-validated
+on decode so a peer can never plant a malformed entry.
 Runtime reconfiguration rides the same surface: ``topology_get`` /
 ``topology_update`` read and mutate the daemon's epoch-versioned
 :class:`~repro.service.cluster.ClusterTopology` (join / leave /
@@ -67,7 +63,7 @@ import asyncio
 import base64
 import binascii
 import functools
-import json
+import math
 from typing import Any, Mapping, Sequence
 
 from .. import __version__
@@ -75,8 +71,7 @@ from ..errors import ReproError, ScheduleError, StaleEpochError
 from ..graphs.grid import GridGraph
 from ..perm.generators import make_workload
 from ..perm.permutation import Permutation
-from ..routing.codec import decode_schedule, encode_schedule, negotiated_version
-from ..routing.serialize import schedule_from_json, schedule_to_json
+from ..routing.codec import decode_schedule, encode_schedule
 from .aio import AsyncRoutingService
 from .executor import RouteRequest
 from .service import (
@@ -223,6 +218,26 @@ def _timeout_from_doc(doc: Mapping[str, Any]) -> float | None:
         return float(timeout)
     except (TypeError, ValueError):
         raise ReproError(f"'timeout' must be a number, got {timeout!r}") from None
+
+
+def _cost_seconds(cost: Any) -> float:
+    """A peer's ``cache_put`` ``cost``, validated as a finite number >= 0.
+
+    Raises
+    ------
+    ReproError
+        For bools, non-numbers, NaN, infinities, negatives and integers
+        too large for a float — all ``bad_request``, never internal.
+    """
+    seconds = math.nan
+    if isinstance(cost, (int, float)) and not isinstance(cost, bool):
+        try:
+            seconds = float(cost)
+        except OverflowError:
+            pass
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ReproError(f"'cost' must be a finite number >= 0, got {cost!r:.40}")
+    return seconds
 
 
 class RequestHandler:
@@ -422,27 +437,14 @@ class RequestHandler:
             raise ReproError("'digest' string required")
         return digest
 
-    @staticmethod
-    def _codec_from_doc(doc: Mapping[str, Any]) -> int:
-        """The caller's advertised codec version (0 = JSON only)."""
-        codec = doc.get("codec", 0)
-        try:
-            return int(codec)
-        except (TypeError, ValueError):
-            return 0
-
     async def cache_get_doc(self, doc: Mapping[str, Any]) -> dict[str, Any]:
-        """Serve one ``cache_get``: local-tier probe, schedule as JSON.
+        """Serve one ``cache_get``: local-tier probe, schedule as a frame.
 
-        The response carries ``found`` plus, on a hit, the schedule: a
-        base64 binary :func:`~repro.routing.codec.encode_schedule`
-        frame under ``schedule_b64`` when the request advertised
-        ``"codec": 1``, otherwise the legacy
-        :func:`~repro.routing.serialize.schedule_to_json` document
-        under ``schedule``. The response always echoes ``"codec"`` so
-        callers learn the capability for their next ``cache_put``.
-        Raises :class:`ReproError` on a malformed request
-        (``bad_request`` via :meth:`dispatch`).
+        The response carries ``found`` plus, on a hit, the schedule as a
+        base64 binary :func:`~repro.routing.codec.encode_schedule` frame
+        under ``schedule_b64``. A ``"codec"`` field in the request is
+        accepted and ignored. Raises :class:`ReproError` on a malformed
+        request (``bad_request`` via :meth:`dispatch`).
         """
         digest = self._digest_from_doc(doc)
         cache = self._local_cache()
@@ -451,73 +453,48 @@ class RequestHandler:
             "ok": True,
             "op": "cache_get",
             "digest": digest,
-            "codec": negotiated_version(),
             "found": schedule is not None,
         }
         if schedule is not None:
-            if min(self._codec_from_doc(doc), negotiated_version()) >= 1:
-                frame = encode_schedule(schedule)
-                resp["schedule_b64"] = base64.b64encode(frame).decode("ascii")
-            else:
-                resp["schedule"] = json.loads(schedule_to_json(schedule))
+            frame = encode_schedule(schedule)
+            resp["schedule_b64"] = base64.b64encode(frame).decode("ascii")
         return resp
 
     async def cache_put_doc(self, doc: Mapping[str, Any]) -> dict[str, Any]:
         """Serve one ``cache_put``: validate and store into the local tier.
 
-        The schedule arrives either as ``schedule_b64`` (a base64
-        binary :func:`~repro.routing.codec.encode_schedule` frame,
-        re-validated swap by swap during decode) or as the legacy
-        ``schedule`` JSON document (re-validated by the
-        :class:`~repro.routing.schedule.Schedule` constructor) — either
-        way a peer can never plant a corrupt entry. ``cost`` optionally
-        carries the original compute seconds for the admission policy.
-        The response echoes ``"codec"`` so callers learn the
-        capability. Raises :class:`ReproError` on malformed requests.
+        The schedule arrives as ``schedule_b64``, a base64 binary
+        :func:`~repro.routing.codec.encode_schedule` frame re-validated
+        swap by swap during decode, so a peer can never plant a corrupt
+        entry. ``cost`` optionally carries the original compute seconds
+        (a finite number >= 0) for the cache's admission threshold.
+        Raises :class:`ReproError` on malformed requests.
         """
         digest = self._digest_from_doc(doc)
         frame_b64 = doc.get("schedule_b64")
-        if frame_b64 is not None:
-            if negotiated_version() < 1:
-                # REPRO_CODEC=0 emulates a pre-codec daemon on the wire:
-                # refusing the frame triggers the sender's JSON resend.
-                raise ReproError("binary frames disabled; pass 'schedule'")
-            if not isinstance(frame_b64, str):
-                raise ReproError("'schedule_b64' must be a base64 string")
-            try:
-                frame = base64.b64decode(frame_b64, validate=True)
-            except binascii.Error as exc:
-                raise ReproError(f"bad 'schedule_b64': {exc}") from None
-            try:
-                schedule = decode_schedule(frame)
-            except ScheduleError as exc:
-                raise ReproError(f"bad 'schedule_b64': {exc}") from None
-        else:
-            payload = doc.get("schedule")
-            if not isinstance(payload, Mapping):
-                raise ReproError(
-                    "'schedule' must be a schedule JSON document "
-                    "(or pass 'schedule_b64')"
-                )
-            schedule = schedule_from_json(json.dumps(payload))
+        if frame_b64 is None:
+            raise ReproError(
+                "'schedule_b64' required (JSON 'schedule' documents are not accepted)"
+            )
+        if not isinstance(frame_b64, str):
+            raise ReproError("'schedule_b64' must be a base64 string")
+        try:
+            frame = base64.b64decode(frame_b64, validate=True)
+        except binascii.Error as exc:
+            raise ReproError(f"bad 'schedule_b64': {exc}") from None
+        try:
+            schedule = decode_schedule(frame)
+        except ScheduleError as exc:
+            raise ReproError(f"bad 'schedule_b64': {exc}") from None
         cost = doc.get("cost")
         if cost is not None:
-            try:
-                cost = float(cost)
-            except (TypeError, ValueError):
-                raise ReproError(f"'cost' must be a number, got {cost!r}") from None
+            cost = _cost_seconds(cost)
         cache = self._local_cache()
         await self._cache_call(
             functools.partial(cache.put, digest, schedule, cost=cost)
         )
         self.telemetry.incr("cache_put_ops")
-        return {
-            "ok": True,
-            "op": "cache_put",
-            "digest": digest,
-            "codec": negotiated_version(),
-            "stored": True,
-        }
+        return {"ok": True, "op": "cache_put", "digest": digest, "stored": True}
 
     def local_cache_stats(self) -> dict[str, Any]:
         """The local cache tier's stats document (no network I/O)."""
@@ -706,7 +683,7 @@ _CACHE_COUNTER_FIELDS = (
     "disk_errors",
     "rejected_puts",
 )
-_CACHE_GAUGE_FIELDS = ("entries", "maxsize", "hit_rate", "n_shards")
+_CACHE_GAUGE_FIELDS = ("entries", "maxsize", "hit_rate")
 
 _CLUSTER_COUNTER_FIELDS = (
     "remote_hits",
@@ -863,18 +840,6 @@ def render_prometheus(stats: Mapping[str, Any]) -> str:
             if fld in cache:
                 lines.append(f"# TYPE {prefix}_{fld} gauge")
                 lines.append(f"{prefix}_{fld} {cache[fld]}")
-        # Per-shard disk errors, labeled, so one failing shard's disk
-        # tier is visible instead of drowned in the rollup sum.
-        shards = cache.get("shards")
-        if isinstance(shards, list) and shards:
-            lines.append(f"# TYPE {prefix}_shard_disk_errors_total counter")
-            for shard in shards:
-                if isinstance(shard, Mapping) and "disk_errors" in shard:
-                    lines.append(
-                        f"{prefix}_shard_disk_errors_total"
-                        f'{{shard="{shard.get("shard")}"}} '
-                        f'{shard["disk_errors"]}'
-                    )
 
     cluster = (stats.get("schedule_cache") or {}).get("cluster") or {}
     if cluster:

@@ -35,9 +35,7 @@ Endpoints
     (``/v1/cache_stats`` also answers ``GET``). Served from the local
     cache tier only, so a shard answering a peer never re-enters the
     ring. Schedules cross as base64 binary :mod:`repro.routing.codec`
-    frames (``schedule_b64``) when the request advertises ``"codec":
-    1``, as legacy ``schedule`` JSON documents otherwise; responses
-    echo ``codec`` so clients learn the capability (see
+    frames (``schedule_b64``) in both directions (see
     :class:`~repro.service.handler.RequestHandler`).
 ``GET /v1/topology`` / ``POST /v1/topology``
     Read / change the daemon's epoch-versioned ring membership

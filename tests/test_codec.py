@@ -2,9 +2,10 @@
 
 Covers the satellite contract for the zero-copy codec: hypothesis
 round-trips (``decode(encode(s)) == s`` byte-identically, from both
-kernel backends' schedule representations), JSON-fallback reads of
-pre-binary disk-cache files, and truncated/corrupt frames surfacing as
-cache misses — never exceptions.
+kernel backends' schedule representations), the flat ``<digest>.rsc``
+disk layout (pre-binary ``.json`` and per-shard ``shard-<i>/`` entries
+are not read), and truncated/corrupt frames surfacing as cache misses —
+never exceptions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.routing.codec import (
     MAGIC,
     decode_schedule,
     encode_schedule,
-    negotiated_version,
 )
 from repro.routing.schedule import Schedule
 from repro.routing.serialize import schedule_to_json
@@ -166,22 +166,6 @@ class TestCorruptFrames:
 
 
 # ----------------------------------------------------------------------
-# wire-dialect negotiation
-# ----------------------------------------------------------------------
-class TestNegotiation:
-    def test_env_rollback_lever(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODEC", raising=False)
-        assert negotiated_version() == CODEC_VERSION
-        monkeypatch.setenv("REPRO_CODEC", "0")
-        assert negotiated_version() == 0
-        # Out-of-range and garbage values are ignored, not errors.
-        monkeypatch.setenv("REPRO_CODEC", "99")
-        assert negotiated_version() == CODEC_VERSION
-        monkeypatch.setenv("REPRO_CODEC", "junk")
-        assert negotiated_version() == CODEC_VERSION
-
-
-# ----------------------------------------------------------------------
 # disk-tier integration
 # ----------------------------------------------------------------------
 def _schedule(seed: int = 0) -> Schedule:
@@ -199,15 +183,15 @@ class TestDiskTier:
         assert cold.get("d1") == s
         assert cold.stats.disk_hits == 1
 
-    def test_json_fallback_reads_pre_binary_files(self, tmp_path):
+    def test_legacy_layouts_are_misses(self, tmp_path):
         s = _schedule(3)
-        (tmp_path / "old.json").write_text(
-            schedule_to_json(s), encoding="utf-8"
-        )
+        (tmp_path / "old.json").write_text(schedule_to_json(s), encoding="utf-8")
+        (tmp_path / "shard-3").mkdir()
+        (tmp_path / "shard-3" / "sharded.rsc").write_bytes(encode_schedule(s))
         cache = ScheduleCache(disk_dir=tmp_path)
-        assert cache.get("old") == s
-        assert cache.stats.disk_hits == 1
-        # The next put of that digest rewrites it in the new format.
+        assert cache.get("old") is None and cache.get("sharded") is None
+        assert cache.stats.disk_hits == 0 and cache.stats.disk_errors == 0
+        # Recomputed entries land in the flat layout.
         cache.put("old", s)
         assert (tmp_path / "old.rsc").exists()
 
@@ -223,19 +207,3 @@ class TestDiskTier:
             assert not (tmp_path / f"{name}.rsc").exists()
         assert cache.stats.disk_errors == 3
         assert cache.stats.misses == 3
-
-    def test_corrupt_json_fallback_is_a_miss(self, tmp_path):
-        (tmp_path / "bad.json").write_text("{", encoding="utf-8")
-        cache = ScheduleCache(disk_dir=tmp_path)
-        assert cache.get("bad") is None
-        assert not (tmp_path / "bad.json").exists()
-        assert cache.stats.disk_errors == 1
-
-    def test_discard_drops_both_formats(self, tmp_path):
-        cache = ScheduleCache(disk_dir=tmp_path)
-        s = _schedule(5)
-        cache.put("d", s)
-        (tmp_path / "d.json").write_text(schedule_to_json(s), encoding="utf-8")
-        assert cache.discard("d")
-        assert not (tmp_path / "d.rsc").exists()
-        assert not (tmp_path / "d.json").exists()

@@ -1,8 +1,8 @@
 """Kernel-backend registry, resolution, and router-API surface tests.
 
 Covers the pluggable-backend API redesign: :func:`repro.get_backend`
-resolution order (explicit > ``REPRO_KERNEL_BACKEND`` > ambient),
-the documented numpy-missing fallback, backend identity in schedule
+resolution order (explicit > ``REPRO_KERNEL_BACKEND`` > numpy), unknown
+names raising :class:`~repro.errors.KernelError`, backend identity in schedule
 metadata, :func:`repro.describe_routers` structured metadata, the
 explicit ``profiler=`` kwarg, and :func:`repro.make_router` argument
 validation. Backend *equivalence* lives in ``test_kernels_equiv.py``.
@@ -27,9 +27,6 @@ from repro.errors import KernelError, RoutingError
 from repro.kernels import ENV_VAR, KernelBackend
 from repro.kernels import base as kernels_base
 from repro.profiling import StageProfiler
-
-HAS_NUMPY = "numpy" in available_backends()
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +55,6 @@ class TestResolution:
         with pytest.raises(KernelError, match="unknown kernel backend"):
             get_backend()
 
-    @needs_numpy
     def test_ambient_prefers_numpy(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         assert get_backend().name == "numpy"
@@ -72,58 +68,6 @@ class TestResolution:
     def test_protocol_is_abstract(self):
         with pytest.raises(TypeError):
             KernelBackend()  # type: ignore[abstract]
-
-
-# ----------------------------------------------------------------------
-# the documented numpy-missing degradation
-# ----------------------------------------------------------------------
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Simulate an uninstalled numpy at the backend-factory seam.
-
-    The real ``_numpy_factory`` turns the ``ImportError`` of a missing
-    numpy into a :class:`KernelError`; this fixture installs a factory
-    that raises the same error (numpy itself cannot be unloaded — the
-    rest of the package, ``Permutation`` included, imports it at module
-    scope) and clears the resolution cache around the test.
-    """
-
-    def _unavailable() -> KernelBackend:
-        raise KernelError(
-            "numpy kernel backend unavailable: No module named 'numpy'"
-        )
-
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    monkeypatch.delitem(kernels_base._CACHE, "numpy", raising=False)
-    monkeypatch.setitem(kernels_base._FACTORIES, "numpy", _unavailable)
-    yield
-    # monkeypatch restored the real factory; drop anything cached while
-    # it was hobbled so later tests re-resolve cleanly.
-    kernels_base._CACHE.pop("numpy", None)
-
-
-class TestNoNumpyFallback:
-    def test_ambient_falls_back_to_python(self, no_numpy):
-        assert get_backend().name == "python"
-        assert default_backend_name() == "python"
-
-    def test_env_numpy_falls_back_to_python(self, no_numpy, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert get_backend().name == "python"
-
-    def test_explicit_numpy_raises(self, no_numpy):
-        with pytest.raises(KernelError, match="numpy kernel backend"):
-            get_backend("numpy")
-
-    def test_not_listed_as_available(self, no_numpy):
-        assert available_backends() == ["python"]
-
-    def test_routing_still_works(self, no_numpy):
-        grid = GridGraph(3, 3)
-        perm = random_permutation(grid, seed=1)
-        schedule = route(grid, perm, method="local")
-        schedule.verify(grid, perm)
-        assert schedule.metadata["backend"] == "python"
 
 
 # ----------------------------------------------------------------------

@@ -15,13 +15,12 @@ backend to the pure-python reference in two tiers:
 
 A third tier covers the lazy ``FlatLayers`` schedule representation the
 numpy backend returns: every ``Schedule`` transform must give the same
-answer whether the layers live as arrays or as materialized tuples.
+answer whether the layers live as arrays or as materialized tuples. A
+fourth pins the frontier-batched Hopcroft–Karp driver to the reference
+on random, adversarial (long augmenting paths) and contended instances.
 """
 
 from __future__ import annotations
-
-import contextlib
-import os
 
 import numpy as np
 import pytest
@@ -316,20 +315,6 @@ class TestFlatLayersTransforms:
 # ----------------------------------------------------------------------
 # tier 4: frontier-batched Hopcroft–Karp augmentation
 # ----------------------------------------------------------------------
-@contextlib.contextmanager
-def _hk_batch(flag: str):
-    """Run a block with ``REPRO_HK_BATCH`` pinned to ``flag``."""
-    old = os.environ.get("REPRO_HK_BATCH")
-    os.environ["REPRO_HK_BATCH"] = flag
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_HK_BATCH"]
-        else:
-            os.environ["REPRO_HK_BATCH"] = old
-
-
 def _reversed_chain(n: int) -> list[list[int]]:
     """Greedy shifts every left one right; the last left is then free and
     its only augmenting path alternates through the whole chain — the
@@ -350,7 +335,7 @@ def _contended_instance(k: int, half: int = 10):
 class TestBatchedAugmentation:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_random_instances_match_reference_under_both_flags(self, data):
+    def test_random_instances_match_reference(self, data):
         n_left = data.draw(st.integers(1, 40))
         n_right = data.draw(st.integers(1, 40))
         adj = [
@@ -363,19 +348,16 @@ class TestBatchedAugmentation:
             )
             for _ in range(n_left)
         ]
-        want = PY.hopcroft_karp(n_left, n_right, adj)
-        for flag in ("1", "0"):
-            with _hk_batch(flag):
-                assert NP.hopcroft_karp(n_left, n_right, adj) == want
+        assert NP.hopcroft_karp(n_left, n_right, adj) == PY.hopcroft_karp(
+            n_left, n_right, adj
+        )
 
     @pytest.mark.parametrize("n", [5, 17, 64, 97, 200, 513])
     def test_adversarial_long_augmenting_paths(self, n):
         adj = _reversed_chain(n)
         want = PY.hopcroft_karp(n, n, adj)
         assert want[2] == n  # the deep path must actually be taken
-        for flag in ("1", "0"):
-            with _hk_batch(flag):
-                assert NP.hopcroft_karp(n, n, adj) == want
+        assert NP.hopcroft_karp(n, n, adj) == want
 
     def test_lockstep_engages_and_matches_reference(self, monkeypatch):
         import repro.kernels._numpy as knp
@@ -391,22 +373,15 @@ class TestBatchedAugmentation:
         monkeypatch.setattr(knp, "_augment_pass", spy)
         want = PY.hopcroft_karp(n_left, n_right, adj)
         assert want[2] == n_left  # perfect matching via the contended paths
-        with _hk_batch("1"):
-            assert NP.hopcroft_karp(n_left, n_right, adj) == want
+        assert NP.hopcroft_karp(n_left, n_right, adj) == want
         assert calls, "lock-step batch never engaged on the contended instance"
-        calls.clear()
-        with _hk_batch("0"):
-            assert NP.hopcroft_karp(n_left, n_right, adj) == want
-        assert not calls, "REPRO_HK_BATCH=0 must bypass the batched pass"
 
-    def test_schedules_identical_under_both_flags(self):
+    def test_schedules_identical_to_reference(self):
         grid = GridGraph(12, 12)
         want = make_router("local", backend="python").route(
             grid, random_permutation(grid, seed=3)
         )
-        for flag in ("1", "0"):
-            with _hk_batch(flag):
-                got = make_router("local", backend="numpy").route(
-                    grid, random_permutation(grid, seed=3)
-                )
-            _assert_same_schedule(got, want)
+        got = make_router("local", backend="numpy").route(
+            grid, random_permutation(grid, seed=3)
+        )
+        _assert_same_schedule(got, want)

@@ -1,7 +1,13 @@
-"""Tests for the tiered LRU schedule cache (repro.service.cache)."""
+"""Tests for the tiered LRU schedule cache (repro.service.cache).
+
+Covers the memory tier, the flat ``<digest>.rsc`` disk tier, and the
+cost-threshold admission rule (``min_cost_seconds``), directly and
+through :class:`RoutingService` / ``repro serve --min-cache-seconds``.
+"""
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -9,7 +15,7 @@ import pytest
 from repro.graphs import GridGraph
 from repro.perm import random_permutation
 from repro.routing import LocalGridRouter
-from repro.service import LRUCache, ScheduleCache
+from repro.service import LRUCache, RoutingService, ScheduleCache
 
 
 def _schedule(seed: int = 0, size: int = 3):
@@ -108,15 +114,15 @@ class TestScheduleCacheDisk:
 
     def test_corrupt_entry_is_a_miss_and_deleted(self, tmp_path):
         c = ScheduleCache(maxsize=4, disk_dir=tmp_path)
-        bad = tmp_path / "kx.json"
-        bad.write_text("{not json", encoding="utf-8")
+        bad = tmp_path / "kx.rsc"
+        bad.write_text("{not a frame", encoding="utf-8")
         assert c.get("kx") is None
         assert c.stats.disk_errors == 1
         assert not bad.exists()
 
     def test_non_utf8_entry_is_a_miss_and_deleted(self, tmp_path):
         c = ScheduleCache(maxsize=4, disk_dir=tmp_path)
-        bad = tmp_path / "kb.json"
+        bad = tmp_path / "kb.rsc"
         bad.write_bytes(b"\xff\xfe binary garbage")
         assert c.get("kb") is None
         assert c.stats.disk_errors == 1
@@ -147,16 +153,16 @@ class TestDiskEvictionRace:
         import repro.service.cache as cache_mod
 
         c = ScheduleCache(maxsize=4, disk_dir=tmp_path)
-        (tmp_path / "kr.json").write_text("{not json", encoding="utf-8")
+        (tmp_path / "kr.rsc").write_bytes(b"not a schedule frame")
 
         barrier = threading.Barrier(2, timeout=30)
-        real_parse = cache_mod.schedule_from_json
+        real_decode = cache_mod.decode_schedule
 
-        def synchronized_parse(text):
+        def synchronized_decode(data):
             barrier.wait()
-            return real_parse(text)
+            return real_decode(data)
 
-        monkeypatch.setattr(cache_mod, "schedule_from_json", synchronized_parse)
+        monkeypatch.setattr(cache_mod, "decode_schedule", synchronized_decode)
 
         results: list = []
         errors: list = []
@@ -178,4 +184,97 @@ class TestDiskEvictionRace:
         assert results == [None, None]  # both observe a miss
         assert c.stats.disk_errors == 1  # the eviction is counted once
         assert c.stats.misses == 2
-        assert not (tmp_path / "kr.json").exists()
+        assert not (tmp_path / "kr.rsc").exists()
+
+
+class TestAdmission:
+    """The ``min_cost_seconds`` admission threshold."""
+
+    def test_default_admits_everything(self):
+        c = ScheduleCache(maxsize=8)
+        c.put("free", _schedule(), cost=0.0)
+        c.put("unknown", _schedule())
+        assert "free" in c and "unknown" in c
+        assert c.rejected_puts == 0
+
+    def test_threshold_rejects_cheap_puts(self, tmp_path):
+        c = ScheduleCache(maxsize=8, disk_dir=tmp_path, min_cost_seconds=1e-3)
+        c.put("cheap", _schedule(), cost=1e-6)
+        c.put("dear", _schedule(), cost=1.0)
+        c.put("edge", _schedule(), cost=1e-3)  # at the threshold: admitted
+        assert "cheap" not in c and "dear" in c and "edge" in c
+        assert c.rejected_puts == 1
+        assert c.stats.puts == 2
+        # A skipped put writes nothing to disk either.
+        assert not (tmp_path / "cheap.rsc").exists()
+        assert (tmp_path / "dear.rsc").exists()
+
+    def test_unknown_cost_is_admitted(self):
+        c = ScheduleCache(maxsize=8, min_cost_seconds=1e9)
+        c.put("k", _schedule())
+        assert c.get("k") is not None
+        assert c.rejected_puts == 0
+
+    def test_rejects_bad_threshold(self):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="min_cost_seconds"):
+                ScheduleCache(min_cost_seconds=bad)
+
+    def test_rejected_puts_exact_under_threads(self):
+        c = ScheduleCache(maxsize=8, min_cost_seconds=1.0)
+        sched = _schedule()
+        n_threads, per_thread = 8, 250
+
+        def hammer() -> None:
+            for _ in range(per_thread):
+                c.put("k", sched, cost=0.0)
+
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert c.rejected_puts == n_threads * per_thread
+        assert len(c) == 0
+
+    def test_as_dict_always_reports_rejected_puts(self):
+        c = ScheduleCache(maxsize=8)
+        doc = c.as_dict()
+        assert doc["rejected_puts"] == 0
+        assert "n_shards" not in doc and "shards" not in doc
+        json.dumps(doc)
+
+    def test_service_threshold(self):
+        # An impossibly high threshold: nothing is ever cached, so the
+        # same request recomputes every time and rejected_puts grows.
+        svc = RoutingService(cache_size=64, cache_min_seconds=1e9)
+        grid = GridGraph(3, 3)
+        perm = random_permutation(grid, seed=0)
+        assert svc.submit(grid, perm).source == "computed"
+        assert svc.submit(grid, perm).source == "computed"
+        assert svc.stats()["schedule_cache"]["rejected_puts"] == 2
+
+    def test_serve_min_cache_seconds(self, tmp_path):
+        from repro.cli import main
+        from repro.service import HttpClient, wait_for_server
+
+        sock = str(tmp_path / "admit.sock")
+        rc_box: list[int] = []
+        thread = threading.Thread(
+            target=lambda: rc_box.append(
+                main(["serve", "--socket", sock, "--workers", "1",
+                      "--min-cache-seconds", "1e9"])
+            ),
+            daemon=True,
+        )
+        thread.start()
+        wait_for_server(sock, timeout=60)
+        doc = {"rows": 3, "cols": 3, "workload": "random", "seed": 0}
+        with HttpClient(sock, timeout=60) as client:
+            sources = [client.request("/v1/route", doc)[1]["source"] for _ in "ab"]
+            _, stats = client.request("/stats")
+            client.request("/v1/shutdown", {})
+        thread.join(timeout=60)
+        assert sources == ["computed", "computed"]
+        assert stats["stats"]["schedule_cache"]["rejected_puts"] == 2
+        assert rc_box == [0]

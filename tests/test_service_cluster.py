@@ -33,7 +33,6 @@ from repro.service import (
     RemoteShardClient,
     RoutingService,
     ScheduleCache,
-    ShardedScheduleCache,
     wait_for_server,
 )
 
@@ -327,13 +326,15 @@ class TestClusterScheduleCache:
         assert stats.misses == tier_a.stats.misses - 1
 
     def test_as_dict_shape(self, schedule):
-        sharded = ShardedScheduleCache(maxsize=32, n_shards=4)
+        local = ScheduleCache(maxsize=32, min_cost_seconds=1.0)
         cluster = ClusterScheduleCache(
-            sharded, {"B": _FailingClient()}, node_id="A", replication=2
+            local, {"B": _FailingClient()}, node_id="A", replication=2
         )
-        cluster.put(DIGESTS[0], schedule)
+        cluster.put(DIGESTS[0], schedule, cost=5.0)
+        cluster.put(DIGESTS[1], schedule, cost=1e-6)
         doc = cluster.as_dict()
-        assert doc["n_shards"] == 4  # local sharded rollup passes through
+        # The local tier's counters pass through at the top level.
+        assert doc["maxsize"] == 32 and doc["rejected_puts"] == 1
         cl = doc["cluster"]
         assert cl["node_id"] == "A" and cl["replication"] == 2
         assert set(cl["ring_nodes"]) == {"A", "B"}

@@ -550,7 +550,7 @@ class TestServeCli:
         thread = threading.Thread(
             target=lambda: rc_box.append(
                 main(["serve", "--socket", sock, "--workers", "1",
-                      "--shards", "4"])
+                      "--min-cache-seconds", "0"])
             ),
             daemon=True,
         )
@@ -663,8 +663,8 @@ class TestServeCli:
         sock = str(tmp_path / "never.sock")
         assert main(["serve", "--socket", sock, "--cache-size", "0"]) == 2
         assert "--cache-size" in capsys.readouterr().err
-        assert main(["serve", "--socket", sock, "--shards", "0"]) == 2
-        assert "--shards" in capsys.readouterr().err
+        assert main(["serve", "--socket", sock, "--min-cache-seconds", "-1"]) == 2
+        assert "--min-cache-seconds" in capsys.readouterr().err
         assert main(["serve", "--socket", sock, "--max-concurrency", "0"]) == 2
         assert "--max-concurrency" in capsys.readouterr().err
         assert main(["serve", "--socket", sock, "--workers", "-1"]) == 2

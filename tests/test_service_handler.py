@@ -156,63 +156,92 @@ class TestRenderPrometheus:
         # No cache sections, no max_workers: still well-formed output.
         assert "repro_schedule_cache" not in text
 
-    def test_sharded_cache_fields_export(self):
+    def test_schedule_cache_fields_export(self):
         from repro.service import RoutingService
 
-        with RoutingService(cache_size=32, cache_shards=4, max_workers=1) as svc:
+        with RoutingService(cache_size=32, max_workers=1) as svc:
             text = render_prometheus(svc.stats())
-        assert "repro_schedule_cache_n_shards 4" in text
         assert "repro_schedule_cache_rejected_puts_total 0" in text
+        assert "repro_schedule_cache_maxsize 32" in text
+        assert "n_shards" not in text and "shard_disk_errors" not in text
 
 
 class TestCacheOps:
     """The remote-shard cache protocol (cache_get/cache_put/cache_stats)."""
 
     def test_roundtrip_and_validation(self):
+        import base64
+        import json as json_mod
+
         from repro.graphs import GridGraph
         from repro.perm import random_permutation
         from repro.routing import route
+        from repro.routing.codec import decode_schedule, encode_schedule
         from repro.routing.serialize import schedule_to_json
-        import json as json_mod
 
         grid = GridGraph(3, 3)
         schedule = route(grid, random_permutation(grid, seed=0))
         digest = "ab" * 32
-        payload = json_mod.loads(schedule_to_json(schedule))
+        frame = encode_schedule(schedule)
+        payload = base64.b64encode(frame).decode("ascii")
+        corrupt = base64.b64encode(frame[:-3]).decode("ascii")
+        legacy = json_mod.loads(schedule_to_json(schedule))
 
         async def run():
             async with AsyncRoutingService(cache_size=16, max_workers=1) as svc:
                 handler = RequestHandler(svc)
                 miss = await handler.dispatch({"op": "cache_get", "digest": digest})
                 assert miss["ok"] and miss["found"] is False
-                assert "schedule" not in miss
+                assert "schedule_b64" not in miss
 
                 stored = await handler.dispatch({
                     "op": "cache_put", "digest": digest,
-                    "schedule": payload, "cost": 0.5, "id": 9,
+                    "schedule_b64": payload, "cost": 0.5, "id": 9,
                 })
                 assert stored["ok"] and stored["stored"] and stored["id"] == 9
 
-                hit = await handler.dispatch({"op": "cache_get", "digest": digest})
-                assert hit["ok"] and hit["found"] is True
-                assert hit["schedule"]["layers"] == payload["layers"]
+                # The "codec" field is accepted and ignored.
+                for get in ({"digest": digest}, {"digest": digest, "codec": 1}):
+                    hit = await handler.dispatch({"op": "cache_get", **get})
+                    assert hit["ok"] and hit["found"] is True
+                    assert "schedule" not in hit
+                    fetched = decode_schedule(base64.b64decode(hit["schedule_b64"]))
+                    assert fetched == schedule
 
                 stats = await handler.dispatch({"op": "cache_stats"})
                 assert stats["ok"] and stats["stats"]["entries"] == 1
 
+                # A legacy JSON document alone is refused with one stable
+                # message naming the required field.
+                resp = await handler.dispatch(
+                    {"op": "cache_put", "digest": digest, "schedule": legacy}
+                )
+                assert not resp["ok"] and resp["code"] == "bad_request"
+                assert "'schedule_b64' required" in resp["error"]
+
                 # Validation failures are bad_request, never internal.
+                put = {"op": "cache_put", "digest": digest}
                 for doc in (
                     {"op": "cache_get"},
                     {"op": "cache_get", "digest": 7},
-                    {"op": "cache_put", "digest": digest},
-                    {"op": "cache_put", "digest": digest, "schedule": "x"},
-                    {"op": "cache_put", "digest": digest,
-                     "schedule": {"format": "nope"}},
-                    {"op": "cache_put", "digest": digest,
-                     "schedule": payload, "cost": "slow"},
+                    put,
+                    {**put, "schedule_b64": 7},
+                    {**put, "schedule_b64": ["x"]},
+                    {**put, "schedule_b64": "not base64!"},
+                    {**put, "schedule_b64": corrupt},
+                    {**put, "schedule_b64": payload, "cost": "slow"},
+                    {**put, "schedule_b64": payload, "cost": float("nan")},
+                    {**put, "schedule_b64": payload, "cost": float("inf")},
+                    {**put, "schedule_b64": payload, "cost": -1.0},
+                    {**put, "schedule_b64": payload, "cost": True},
+                    # An integer too large for a float overflows float().
+                    {**put, "schedule_b64": payload, "cost": 10**400},
                 ):
                     resp = await handler.dispatch(doc)
                     assert not resp["ok"] and resp["code"] == "bad_request", doc
+                # None of the refused puts reached the cache.
+                stats = await handler.dispatch({"op": "cache_stats"})
+                assert stats["stats"]["puts"] == 1
 
         asyncio.run(run())
 
@@ -264,12 +293,11 @@ class TestCacheOps:
         assert "repro_cluster_dead_nodes 0" in text
         assert 'repro_cluster_node_up{node="peer-a"} 1' in text
 
-    def test_per_shard_disk_errors_export(self):
-        from repro.service import ShardedScheduleCache
+    def test_disk_errors_export(self):
+        from repro.service import ScheduleCache
 
-        cache = ShardedScheduleCache(maxsize=32, n_shards=4)
-        cache._shards[2].stats.disk_errors = 7
-        doc = {"schedule_cache": cache.as_dict()}
-        assert cache.as_dict()["disk_errors_by_shard"] == {"2": 7}
-        text = render_prometheus(doc)
-        assert 'repro_schedule_cache_shard_disk_errors_total{shard="2"} 7' in text
+        cache = ScheduleCache(maxsize=32)
+        cache.stats.disk_errors = 7
+        text = render_prometheus({"schedule_cache": cache.as_dict()})
+        assert "repro_schedule_cache_disk_errors_total 7" in text
+        assert "shard" not in text

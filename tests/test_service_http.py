@@ -171,16 +171,20 @@ class TestEndpoints:
 
     def test_cache_endpoints_roundtrip(self):
         """The remote-shard protocol over HTTP, incl. RemoteShardClient."""
+        import base64
+
         from repro.graphs import GridGraph
         from repro.perm import random_permutation
         from repro.routing import route
+        from repro.routing.codec import decode_schedule, encode_schedule
         from repro.routing.serialize import schedule_to_json
         from repro.service import RemoteShardClient
 
         grid = GridGraph(3, 3)
         schedule = route(grid, random_permutation(grid, seed=2))
         digest = "ef" * 32
-        payload = json.loads(schedule_to_json(schedule))
+        frame = encode_schedule(schedule)
+        payload = base64.b64encode(frame).decode("ascii")
         server, base, thread = _start_http()
         try:
             status, body = http_request(
@@ -188,18 +192,41 @@ class TestEndpoints:
             )
             assert status == 200 and body["ok"] and body["found"] is False
             status, body = http_request(base + "/v1/cache_put", {
-                "digest": digest, "schedule": payload, "cost": 0.1,
+                "digest": digest, "schedule_b64": payload, "cost": 0.1,
             })
             assert status == 200 and body["stored"]
             status, body = http_request(
-                base + "/v1/cache_get", {"digest": digest}
+                base + "/v1/cache_get", {"digest": digest, "codec": 1}
             )
-            assert body["found"] and body["schedule"]["layers"] == payload["layers"]
+            assert body["found"] and "schedule" not in body
+            assert decode_schedule(base64.b64decode(body["schedule_b64"])) == schedule
             status, body = http_request(base + "/v1/cache_stats")
             assert status == 200 and body["stats"]["entries"] == 1
             # Validation failures map to 400.
             status, body = http_request(base + "/v1/cache_get", {})
             assert status == 400 and body["code"] == "bad_request"
+            put = {"digest": "01" * 32}
+            legacy = json.loads(schedule_to_json(schedule))
+            for doc in (
+                {**put, "schedule": legacy},
+                {**put, "schedule_b64": 7},
+                {**put, "schedule_b64": "not base64!"},
+                {**put, "schedule_b64": base64.b64encode(frame[:9]).decode()},
+                {**put, "schedule_b64": payload, "cost": "slow"},
+                # json.dumps writes NaN/Infinity tokens, which the server's
+                # json.loads accepts: the cost check must refuse them.
+                {**put, "schedule_b64": payload, "cost": float("nan")},
+                {**put, "schedule_b64": payload, "cost": float("inf")},
+                {**put, "schedule_b64": payload, "cost": -0.5},
+                {**put, "schedule_b64": payload, "cost": False},
+                # A 401-digit integer literal parses to an int that
+                # overflows float(): still a 400, not a 500.
+                {**put, "schedule_b64": payload, "cost": 10**400},
+            ):
+                status, body = http_request(base + "/v1/cache_put", doc)
+                assert status == 400 and body["code"] == "bad_request", doc
+            status, body = http_request(base + "/v1/cache_stats")
+            assert body["stats"]["entries"] == 1 and body["stats"]["puts"] == 1
 
             # The shard client speaks the same endpoints end to end.
             client = RemoteShardClient(base, timeout=JOIN_TIMEOUT)

@@ -27,7 +27,6 @@ from repro.service import (
     InProcessShardClient,
     LRUCache,
     ScheduleCache,
-    ShardedScheduleCache,
 )
 from repro.service.handler import _CLUSTER_COUNTER_FIELDS, render_prometheus
 
@@ -123,21 +122,10 @@ class TestDiscard:
         cache.put(DIGESTS[1], schedule)
         path = tmp_path / f"{DIGESTS[1]}.rsc"
         assert path.exists()
-        # A legacy JSON copy must go too, or a get would resurrect it.
-        legacy = tmp_path / f"{DIGESTS[1]}.json"
-        legacy.write_text(path.read_bytes().hex())
         assert cache.discard(DIGESTS[1]) is True
         assert not path.exists()
-        assert not legacy.exists()
         # Without the disk unlink the next get would resurrect it.
         assert cache.get(DIGESTS[1]) is None
-
-    def test_sharded_discard_routes_to_owning_shard(self, schedule):
-        sharded = ShardedScheduleCache(maxsize=32, n_shards=4)
-        sharded.put(DIGESTS[2], schedule)
-        assert sharded.discard(DIGESTS[2]) is True
-        assert sharded.discard(DIGESTS[2]) is False
-        assert DIGESTS[2] not in sharded
 
 
 # ----------------------------------------------------------------------

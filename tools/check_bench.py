@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark regression gate: BENCH_*.json vs the committed baselines.
 
-The benchmark scripts measure *ratios* (numpy-vs-python speedup, batched
-HK vs sequential, binary codec vs JSON) with both arms interleaved on
+The benchmark scripts measure *ratios* (numpy-vs-python cold-route
+speedup, binary disk tier vs JSON parsing) with both arms interleaved on
 the same machine, so the ratios — unlike absolute seconds — are
 comparable across machines. This tool compares a freshly produced
 ``BENCH_core.json`` / ``BENCH_codec.json`` against the committed
@@ -10,8 +10,8 @@ snapshots in ``benchmarks/baselines/`` and fails when any gated ratio
 regressed by more than ``--tolerance`` (default 25%).
 
 It also enforces the structural invariants that must never regress at
-all: the mixed-dialect ring drill in ``BENCH_codec.json`` must report
-zero errors.
+all: the remote cache hits in ``BENCH_codec.json`` must report zero
+errors (``remote.errors == 0``).
 
 Refreshing a baseline is deliberate and explicit: run the benchmark
 with the same flags CI uses and copy the artifact over the file in
@@ -39,8 +39,6 @@ def _core_metrics(doc: dict) -> dict[str, float]:
     out: dict[str, float] = {}
     for run in doc.get("runs", []):
         out[f"cold_route/{run['router']}/{run['size']}"] = run["speedup"]
-    for run in doc.get("hk_runs", []):
-        out[f"hk_batch/{run['workload']}/{run['size']}"] = run["speedup"]
     return out
 
 
@@ -54,17 +52,15 @@ def _codec_metrics(doc: dict) -> dict[str, float]:
     out: dict[str, float] = {}
     if "disk" in doc:
         out["disk_vs_json"] = doc["disk"]["speedup"]
-    if "remote" in doc:
-        out["remote_vs_json"] = doc["remote"]["speedup"]
     return out
 
 
 def _codec_invariants(doc: dict) -> list[str]:
-    mixed = doc.get("mixed")
-    if mixed is None:
-        return ["mixed-dialect ring drill missing from the artifact"]
-    if mixed.get("total_errors") != 0:
-        return [f"mixed-dialect ring drill errors: {mixed.get('total_errors')}"]
+    remote = doc.get("remote")
+    if remote is None:
+        return ["remote cache-hit run missing from the artifact"]
+    if remote.get("errors") != 0:
+        return [f"remote cache-hit errors: {remote.get('errors')}"]
     return []
 
 
