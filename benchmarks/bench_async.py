@@ -5,9 +5,11 @@ Two measurements back the daemon's acceptance criteria:
 * ``sync_vs_async`` — the same mixed batch through
   ``RoutingService.submit_batch`` and
   ``AsyncRoutingService.submit_batch_async`` must produce identical
-  outcomes; the async path's overhead (event loop + semaphore) must
-  stay small. This is a parity check, not a race: on one process pool
-  both fan out the same work.
+  outcomes. Both front ends drive the one request engine
+  (``BatchExecutor.run``); they differ only in the admission limiter
+  (one slot for the inline sync batch, the fair scheduler for the
+  async one) and in who runs the event loop, so this is a parity
+  check, not a race.
 
 * ``daemon_vs_cold`` — a mixed workload split into K client
   invocations, served two ways: **cold** spawns a fresh ``repro

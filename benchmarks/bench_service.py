@@ -9,7 +9,8 @@ Three measurements back the service's acceptance criteria:
 * ``dedup`` — a cold batch with duplicate requests routes each unique
   instance once, so cost scales with unique — not total — requests.
 * ``cold_parallel`` — a cold batch of unique instances fanned over a
-  multi-worker process pool versus the sequential loop. Real speedup
+  multi-worker process pool (most expensive first) versus the
+  sequential loop. Real speedup
   needs real cores: the assertion is enforced only when the machine
   has more than one usable CPU (the numbers are reported regardless).
 
@@ -131,9 +132,9 @@ def bench_cold_parallel(
 
     with RoutingService(cache_size=2 * n, max_workers=workers) as svc:
         # Pay pool spawn/warm outside the measured region: the pool is
-        # persistent, so steady-state batches never see that cost. Needs
-        # >= 2 distinct instances — a single miss is computed inline and
-        # would leave the pool unspawned.
+        # persistent, so steady-state batches never see that cost. With
+        # more than one worker every miss goes to the pool; several
+        # distinct instances start every worker.
         tiny = GridGraph(3, 3)
         svc.submit_batch([
             (tiny, make_workload("random", tiny, seed=s)) for s in range(4)

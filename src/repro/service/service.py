@@ -13,6 +13,12 @@ behind the five calls a client needs:
 * :meth:`RoutingService.stats` — cache counters, latency histograms
   and worker configuration as one JSON-ready dict.
 
+Every request call is a blocking drive of the one request engine,
+:meth:`~repro.service.executor.BatchExecutor.run`, which the async
+front end (:mod:`repro.service.aio`) awaits directly. Transpile
+requests reach it through :class:`TranspileKind`, the circuit
+counterpart of :class:`~repro.service.executor.RouteKind`.
+
 This module also owns the result-encoding helpers
 (:func:`route_result_to_dict`, :func:`transpile_metrics`,
 :func:`transpile_outcome_to_dict`) shared by the service's JSONL output
@@ -24,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -42,12 +47,7 @@ from .cluster import (
     ClusterTopology,
     RemoteShardClient,
 )
-from .executor import (
-    BatchExecutor,
-    RouteRequest,
-    RouteResult,
-    record_stage_telemetry,
-)
+from .executor import BatchExecutor, RouteRequest, RouteResult, run_profiled
 from .keys import (
     _h,
     graph_fingerprint,
@@ -63,6 +63,7 @@ __all__ = [
     "RoutingService",
     "TranspileRequest",
     "TranspileOutcome",
+    "TranspileKind",
     "route_result_to_dict",
     "transpile_metrics",
     "transpile_outcome_to_dict",
@@ -142,42 +143,122 @@ def transpile_metrics(result) -> dict[str, Any]:
     }
 
 
-def _transpile_in_worker(
-    payload: tuple[str, str, dict, str, str, int, str, dict, bool],
-) -> tuple[str, str, Any, float, dict]:
-    """Pool worker for transpile requests; never raises (see executor).
+def _transpile_body(
+    graph: Graph,
+    qasm: str,
+    router: str,
+    mapping: str,
+    seed: int,
+    completion: str,
+    options: Mapping[str, Any],
+    include_qasm: bool,
+) -> dict[str, Any]:
+    """Transpile one circuit: ``{"metrics": ..., "physical_qasm": ...}``."""
+    from ..circuit.qasm import dumps, loads
+    from ..transpile.transpiler import transpile
 
-    Mirrors ``_route_in_worker``'s 5-tuple contract: the last element is
-    the per-stage profile collected in-worker (workers cannot share the
-    parent's trace context).
+    result = transpile(
+        loads(qasm), graph, router=router, mapping=mapping, seed=seed,
+        completion=completion, **options,
+    )
+    return {
+        "metrics": transpile_metrics(result),
+        "physical_qasm": dumps(result.physical) if include_qasm else None,
+    }
+
+
+def _transpile_local(
+    payload: tuple[TranspileRequest, bool],
+) -> tuple[str, Any, float, dict]:
+    """Thread job: transpile against the caller's own graph."""
+    req, include_qasm = payload
+    return run_profiled(lambda: _transpile_body(
+        req.graph, req.qasm, req.router, req.mapping, req.seed,
+        req.completion, req.options, include_qasm,
+    ))
+
+
+def _transpile_in_worker(payload: tuple) -> tuple[str, Any, float, dict]:
+    """Pool job: rebuild the graph from its spec, then transpile."""
+    spec, *fields = payload
+    return run_profiled(lambda: _transpile_body(graph_from_spec(spec), *fields))
+
+
+class TranspileKind:
+    """Engine adapter for :class:`TranspileRequest` (see :class:`RouteKind`).
+
+    The cached value is the transpile body ``{"metrics",
+    "physical_qasm"}``; it is plain data, so pool results need no
+    decoding and there is nothing to verify.
     """
-    (digest, qasm, spec, router, mapping, seed, completion, options,
-     include_qasm) = payload
-    t0 = time.perf_counter()
-    from ..routing.base import StageProfiler, profile
 
-    profiler = StageProfiler()
-    try:
-        from ..circuit.qasm import dumps, loads
-        from ..transpile.transpiler import transpile
+    prefix = "aio_transpile_"
+    latency = "aio_transpile"
+    local = staticmethod(_transpile_local)
+    worker = staticmethod(_transpile_in_worker)
 
-        circuit = loads(qasm)
-        graph = graph_from_spec(spec)
-        with profile(profiler):
-            result = transpile(
-                circuit, graph, router=router, mapping=mapping, seed=seed,
-                completion=completion, **options,
-            )
-        body = {
-            "metrics": transpile_metrics(result),
-            "physical_qasm": dumps(result.physical) if include_qasm else None,
-        }
+    def __init__(self, cache: LRUCache, include_qasm: bool) -> None:
+        self.cache = cache
+        self.include_qasm = include_qasm
+
+    def key(self, req: TranspileRequest) -> tuple[str, str]:
+        """The request digest, as result key and cache key."""
+        digest = req.digest(include_qasm_out=self.include_qasm)
+        return digest, digest
+
+    def local_payload(self, req: TranspileRequest) -> Any:
+        """Argument of :attr:`local` for ``req``."""
+        return req, self.include_qasm
+
+    def pool_payload(self, req: TranspileRequest) -> Any:
+        """Picklable argument of :attr:`worker` for ``req``."""
         return (
-            digest, "ok", body, time.perf_counter() - t0, profiler.as_dict()
+            graph_spec(req.graph), req.qasm, req.router, req.mapping,
+            req.seed, req.completion, dict(req.options), self.include_qasm,
         )
-    except Exception as exc:  # noqa: BLE001 - error isolation is the contract
-        msg = f"{type(exc).__name__}: {exc}"
-        return (digest, "error", msg, time.perf_counter() - t0, {})
+
+    @staticmethod
+    def decode(body: dict, req: TranspileRequest) -> dict:
+        """Pool bodies are already plain data."""
+        return body
+
+    @staticmethod
+    def check(body: dict, req: TranspileRequest) -> None:
+        """Nothing to verify for a transpile body."""
+
+    @staticmethod
+    def backend(body: dict) -> None:
+        """Transpile bodies do not record a kernel backend."""
+        return None
+
+    @staticmethod
+    def value(outcome: TranspileOutcome) -> dict | None:
+        """What a duplicate slot shares with its original."""
+        if not outcome.ok:
+            return None
+        return {"metrics": outcome.metrics, "physical_qasm": outcome.physical_qasm}
+
+    @staticmethod
+    def result(
+        index: int,
+        digest: str,
+        req: TranspileRequest,
+        body: dict | None,
+        seconds: float,
+        source: str,
+        error: str | None = None,
+    ) -> TranspileOutcome:
+        """The :class:`TranspileOutcome` for one batch slot."""
+        return TranspileOutcome(
+            index=index,
+            digest=digest,
+            router=req.router,
+            metrics=body["metrics"] if body is not None else None,
+            physical_qasm=body["physical_qasm"] if body is not None else None,
+            seconds=seconds,
+            source=source,
+            error=error,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -470,96 +551,13 @@ class RoutingService:
     ) -> list[TranspileOutcome]:
         """Transpile circuits in bulk with dedup, caching and fan-out.
 
-        Semantics mirror :meth:`submit_batch`: outcomes are
-        index-aligned, identical requests are computed once, previously
-        seen requests are served from the (in-memory) transpile cache,
-        and one failing circuit does not affect the others.
-
-        The dedup -> cache -> fan-out -> resolve pipeline below
-        deliberately parallels :meth:`BatchExecutor.execute`; when
-        changing the semantics of one (e.g. how dedup-of-error
-        resolves), change both.
+        Same engine as :meth:`submit_batch`: outcomes are index-aligned,
+        identical requests are computed once, previously seen requests
+        are served from the (in-memory) transpile cache, and one failing
+        circuit does not affect the others.
         """
-        t_batch = time.perf_counter()
-        outcomes: list[TranspileOutcome | None] = [None] * len(requests)
-        first_of: dict[str, int] = {}
-        misses: list[int] = []
-        miss_digests: dict[int, str] = {}  # reuse phase-1 fingerprints
-        for i, req in enumerate(requests):
-            digest = req.digest(include_qasm_out=include_qasm)
-            if digest in first_of:
-                outcomes[i] = TranspileOutcome(
-                    index=i, digest=digest, router=req.router, metrics=None,
-                    physical_qasm=None, seconds=0.0, source="dedup",
-                )
-                continue
-            first_of[digest] = i
-            cached = self.transpile_cache.get(digest)
-            if cached is not None:
-                outcomes[i] = TranspileOutcome(
-                    index=i, digest=digest, router=req.router,
-                    metrics=cached["metrics"],
-                    physical_qasm=cached["physical_qasm"],
-                    seconds=0.0, source="cache",
-                )
-            else:
-                misses.append(i)
-                miss_digests[i] = digest
-
-        if misses:
-            payloads = []
-            for i in misses:
-                req = requests[i]
-                payloads.append((
-                    miss_digests[i],
-                    req.qasm,
-                    graph_spec(req.graph),
-                    req.router,
-                    req.mapping,
-                    req.seed,
-                    req.completion,
-                    dict(req.options),
-                    include_qasm,
-                ))
-            raw = self.executor.run_jobs(_transpile_in_worker, payloads)
-            for i, (digest, status, body, seconds, stages) in zip(misses, raw):
-                req = requests[i]
-                if status == "ok":
-                    record_stage_telemetry(self.telemetry, req.router, None, stages)
-                    self.transpile_cache.put(digest, body)
-                    outcomes[i] = TranspileOutcome(
-                        index=i, digest=digest, router=req.router,
-                        metrics=body["metrics"],
-                        physical_qasm=body["physical_qasm"],
-                        seconds=seconds, source="computed",
-                    )
-                else:
-                    outcomes[i] = TranspileOutcome(
-                        index=i, digest=digest, router=req.router,
-                        metrics=None, physical_qasm=None, seconds=seconds,
-                        source="error", error=str(body),
-                    )
-
-        for i, out in enumerate(outcomes):
-            if out is not None and out.source == "dedup":
-                orig = outcomes[first_of[out.digest]]
-                outcomes[i] = TranspileOutcome(
-                    index=i, digest=out.digest, router=out.router,
-                    metrics=orig.metrics, physical_qasm=orig.physical_qasm,
-                    seconds=0.0,
-                    source="dedup" if orig.ok else "error",
-                    error=orig.error,
-                )
-
-        final = [o for o in outcomes if o is not None]
-        self.telemetry.incr("transpile_batches")
-        self.telemetry.observe("transpile_batch", time.perf_counter() - t_batch)
-        for o in final:
-            self.telemetry.incr("transpile_requests")
-            self.telemetry.incr(f"transpile_source_{o.source}")
-            if o.source == "computed":
-                self.telemetry.observe("transpile", o.seconds)
-        return final
+        kind = TranspileKind(self.transpile_cache, include_qasm)
+        return self.executor.run_sync(kind, requests)
 
     # ------------------------------------------------------------------
     # warming and stats

@@ -148,9 +148,24 @@ class TestPoolExecution:
             second = ex.execute(reqs)
         assert [r.source for r in second] == ["cache", "cache"]
 
-    def test_run_jobs_inline_when_single(self):
-        with BatchExecutor(max_workers=1) as ex:
-            assert ex.run_jobs(len, ["ab", "cde"]) == [2, 3]
+    def test_pool_dedup_shares_one_schedule(self):
+        grid = GridGraph(3, 3)
+        perm = random_permutation(grid, seed=4)
+        reqs = [RouteRequest(grid, perm), RouteRequest(grid, perm)]
+        with BatchExecutor(cache=None, max_workers=2) as ex:
+            results = ex.execute(reqs)
+        assert [r.source for r in results] == ["computed", "dedup"]
+        assert results[1].schedule is results[0].schedule
+        assert results[0].schedule.simulate() == perm
+
+    def test_single_miss_goes_to_the_pool(self):
+        # The executor picks the process pool from `parallel` alone: a
+        # lone miss is not special-cased onto a thread.
+        grid = GridGraph(3, 3)
+        with BatchExecutor(cache=None, max_workers=2) as ex:
+            res = ex.execute(_batch(grid, [0]))[0]
+            assert ex._pool is not None
+        assert res.ok and res.schedule.simulate() == random_permutation(grid, seed=0)
 
 
 class TestLifecycle:
@@ -170,8 +185,6 @@ class TestLifecycle:
         ex.close()
         with pytest.raises(ServiceClosedError):
             ex.execute(_batch(grid, [1]))
-        with pytest.raises(ServiceClosedError):
-            ex.run_jobs(len, ["ab"])
         with pytest.raises(ServiceClosedError):
             ex.submit_job(len, "ab")
 
@@ -214,3 +227,135 @@ class TestLifecycle:
         with BatchExecutor(max_workers=1) as ex:
             fut = ex.submit_job(len, "abcd")
             assert fut.result(timeout=30) == 4
+
+
+class TestOneEngine:
+    """Sync and async front ends share one request engine."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """Count calls to ``name`` through every repro module that imports it."""
+        import sys
+
+        calls = {"n": 0}
+        original = None
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("repro") and hasattr(mod, name):
+                original = original or getattr(mod, name)
+                if getattr(mod, name) is not original:
+                    continue
+
+                def counted(*args, _fn=original, **kwargs):
+                    calls["n"] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    def test_inline_miss_skips_the_codec(self, monkeypatch):
+        import asyncio
+
+        from repro.service import AsyncRoutingService, RoutingService
+
+        decodes = self._count_calls(monkeypatch, "decode_schedule")
+        specs = self._count_calls(monkeypatch, "graph_from_spec")
+        grid = GridGraph(4, 4)
+        perm = random_permutation(grid, seed=5)
+        with RoutingService(cache_size=8, max_workers=1) as svc:
+            sync = svc.submit(grid, perm)
+
+        async def run():
+            async with AsyncRoutingService(cache_size=8, max_workers=1) as asvc:
+                return await asvc.submit_async(grid, perm)
+
+        aio = asyncio.run(run())
+        for res in (sync, aio):
+            assert res.source == "computed"
+            assert res.schedule.simulate() == perm
+        assert decodes["n"] == 0 and specs["n"] == 0
+
+    def test_failed_verification_is_one_error(self, monkeypatch):
+        import asyncio
+
+        from repro.errors import ScheduleError
+        from repro.routing.schedule import Schedule
+        from repro.service import AsyncRoutingService, RoutingService
+
+        def forged(self, graph, perm):
+            raise ScheduleError("forged mismatch")
+
+        monkeypatch.setattr(Schedule, "verify", forged)
+        grid = GridGraph(3, 3)
+        perm = random_permutation(grid, seed=2)
+        reqs = [RouteRequest(grid, perm), RouteRequest(grid, perm)]
+        with RoutingService(cache_size=8, verify=True) as svc:
+            sync = svc.submit_batch(reqs)
+            sync_entries = svc.stats()["schedule_cache"]["entries"]
+
+        async def run():
+            async with AsyncRoutingService(cache_size=8, verify=True) as asvc:
+                results = await asvc.submit_batch_async(reqs)
+                return results, asvc.stats()["schedule_cache"]["entries"]
+
+        aio, aio_entries = asyncio.run(run())
+        for results in (sync, aio):
+            assert [r.source for r in results] == ["error", "error"]
+            assert all(r.schedule is None for r in results)
+            assert results[1].error == results[0].error
+        assert sync[0].error == aio[0].error == "ScheduleError: forged mismatch"
+        assert sync_entries == aio_entries == 0  # nothing cached
+
+    def test_inline_sync_batch_routes_one_miss_at_a_time(self):
+        from repro.service import RoutingService
+
+        state = {"active": 0, "peak": 0, "jobs": 0}
+        lock = threading.Lock()
+        with RoutingService(cache_size=16, max_workers=1) as svc:
+            ex = svc.executor
+            real_submit = ex.submit_job
+
+            def counting_submit(fn, payload):
+                def wrapped(p):
+                    with lock:
+                        state["jobs"] += 1
+                        state["active"] += 1
+                        state["peak"] = max(state["peak"], state["active"])
+                    try:
+                        return fn(p)
+                    finally:
+                        with lock:
+                            state["active"] -= 1
+
+                return real_submit(wrapped, payload)
+
+            ex.submit_job = counting_submit
+            results = svc.submit_batch(_batch(GridGraph(4, 4), range(4)))
+        assert all(r.ok for r in results)
+        assert state["jobs"] == 4 and state["peak"] == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_misses_submitted_longest_first(self, workers):
+        small, mid, big = GridGraph(3, 3), GridGraph(4, 4), GridGraph(5, 5)
+        reqs = [
+            RouteRequest(small, random_permutation(small, seed=0)),
+            RouteRequest(big, random_permutation(big, seed=0)),
+            RouteRequest(mid, random_permutation(mid, seed=0)),
+            RouteRequest(big, random_permutation(big, seed=1)),
+        ]
+        order = []
+        with BatchExecutor(cache=None, max_workers=workers) as ex:
+            real_submit = ex.submit_job
+
+            def recording_submit(fn, payload):
+                first = payload[0]
+                if isinstance(first, RouteRequest):
+                    order.append(first.perm.targets.tolist())
+                else:
+                    order.append(payload[1])
+                return real_submit(fn, payload)
+
+            ex.submit_job = recording_submit
+            results = ex.execute(reqs)
+        assert all(r.ok for r in results)
+        # Descending cost, stable among equals: big#1, big#3, mid, small.
+        assert order == [reqs[i].perm.targets.tolist() for i in (1, 3, 2, 0)]
